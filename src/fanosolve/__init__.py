@@ -22,7 +22,7 @@ from .scattering import (PoleData, build_heff, ionization_sweep, n_ionized,
                          poles, survival_probability, weak_field_rate)
 from .liouville import (EffectiveLiouvillian4, SteadyStateError, absorption_rate,
                         build_effective_liouvillian, lineshape_sweep,
-                        steady_state, steady_state_cramer, transport_rate)
+                        steady_state, transport_rate)
 from .general import (GeneralEffectiveLiouvillian, build_general,
                       continuum_coherences, fano_model, two_band_demo_model,
                       general_steady_state, three_level_model,
@@ -42,7 +42,7 @@ __all__ = [
     "survival_probability", "weak_field_rate",
     "EffectiveLiouvillian4", "SteadyStateError", "absorption_rate",
     "build_effective_liouvillian", "lineshape_sweep", "steady_state",
-    "steady_state_cramer", "transport_rate",
+    "transport_rate",
     "GeneralEffectiveLiouvillian", "build_general", "continuum_coherences",
     "fano_model", "two_band_demo_model", "general_steady_state", "three_level_model",
     "two_continua_model",

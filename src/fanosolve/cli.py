@@ -32,6 +32,7 @@ from .liouville import SteadyStateError, lineshape_sweep
 from .models import FanoParams
 from .oracle import convergence_study
 from .scattering import ionization_sweep, survival_rate
+from .superop import transport_rate_from
 
 __all__ = ["main"]
 
@@ -197,9 +198,8 @@ def cmd_oracle(args) -> int:
     gel = build_general(model, omega_L=omega_l)
     ss = general_steady_state(gel)
     nc_ref = float(sum(ss.continuum_pops))
-    flux = sum(sum(c.relax_rates) * p
-               for c, p in zip(model.continua, ss.continuum_pops))
-    r_ref = flux / float(np.real(ss.rho[0, 0]))
+    r_ref = float(transport_rate_from([sum(c.relax_rates) for c in model.continua],
+                                      ss.continuum_pops, ss.rho[0, 0].real))
     study = convergence_study(model, ladder, omega_l, nc_ref, r_ref)
     rows = zip(study.bandwidths, study.levels, study.nc_oracle,
                np.full_like(study.nc_oracle, study.nc_reference),

@@ -88,8 +88,12 @@ def _parse_model(doc: dict) -> GeneralModel:
 
     conts = []
     for k, entry in enumerate(doc.get("continua", []) or []):
+        if "pump_rates" in entry:
+            # Incoherent injection into a flat band has a divergent total rate.
+            raise ConfigError(f"continua[{k}]: incoherent pumping into the continuum "
+                              "diverges in the wideband approximation and is not supported")
         _check_keys(entry, {"density", "couplings", "relax_rates", "dephase_rates",
-                            "pump_rates", "center", "photon_index", "label"},
+                            "center", "photon_index", "label"},
                     f"continua[{k}]")
         conts.append(Continuum(
             density=float(entry["density"]),
@@ -97,8 +101,6 @@ def _parse_model(doc: dict) -> GeneralModel:
             relax_rates=tuple(float(v) for v in entry["relax_rates"]),
             dephase_rates=(tuple(float(v) for v in entry["dephase_rates"])
                            if entry.get("dephase_rates") is not None else None),
-            pump_rates=(tuple(float(v) for v in entry["pump_rates"])
-                        if entry.get("pump_rates") is not None else None),
             center=float(entry.get("center", 0.0)),
             photon_index=int(entry.get("photon_index", 1)),
             label=str(entry.get("label", "")),

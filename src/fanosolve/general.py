@@ -28,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouville import SteadyStateError
 from .models import Continuum, DensityMatrixP, FanoParams, GeneralModel, validate_model
-from .superop import (basis_jump_superop, dephasing_superop, flat_index,
-                      hamiltonian_superop, vec)
+from .superop import (_stationary_solve, basis_jump_superop, dephasing_superop,
+                      flat_index, hamiltonian_superop, trace_row, unvec, vec)
 
 __all__ = [
     "GeneralEffectiveLiouvillian",
@@ -45,9 +44,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger("fanosolve")
-
-#: Required singular-value separation for a one-dimensional kernel.
-_KERNEL_SEP = 1e6
 
 
 @dataclass(frozen=True)
@@ -117,59 +113,17 @@ def build_general(model: GeneralModel, omega_L: float = 0.0) -> GeneralEffective
     return GeneralEffectiveLiouvillian(heff, ltilde, l_d, c_coeffs, n)
 
 
-def _hermitian_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal basis of Hermitian matrices under Re tr(A^dag B)."""
-    basis = []
-    for i in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[i, i] = 1.0
-        basis.append(m)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = m[j, i] = inv_sqrt2
-            basis.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = 1j * inv_sqrt2
-            m[j, i] = -1j * inv_sqrt2
-            basis.append(m)
-    return basis
-
-
 def general_steady_state(gel: GeneralEffectiveLiouvillian) -> DensityMatrixP:
     """Kernel of the effective generator, normalized with the continuum populations.
 
-    The generator preserves Hermiticity, so it is restricted to the real
-    parameterization of Hermitian matrices and the kernel extracted by
-    singular-value decomposition; a second singular value within a factor
-    10^6 of the smallest marks a degenerate steady state (e.g. relaxation
-    into a manifold without internal dissipation) and raises
+    Uses the certified kernel solve shared by every solver, with the
+    normalization row ``trace + sum_a C^(a)``.  A degenerate steady state
+    (e.g. relaxation into a manifold without internal dissipation) raises
     :class:`SteadyStateError` naming the kernel dimension.
     """
     n = gel.n_levels
-    L = gel.matrix
-    basis = _hermitian_basis(n)
-    dim = len(basis)
-    lreal = np.empty((dim, dim))
-    images = [L @ vec(b) for b in basis]
-    for k, img in enumerate(images):
-        for m, b in enumerate(basis):
-            lreal[m, k] = np.real(np.vdot(vec(b), img))
-    _, s, vt = np.linalg.svd(lreal)
-    if s[-2] == 0 or (s[-1] > 0 and s[-2] <= s[-1] * _KERNEL_SEP):
-        floor = max(s[-1] * _KERNEL_SEP, np.finfo(float).tiny)
-        null_dim = int(np.sum(s <= floor))
-        raise SteadyStateError(
-            f"steady state degenerate: kernel dimension {max(null_dim, 2)} > 1 "
-            "(relaxation towards a manifold without internal dissipation)")
-    coeffs = vt[-1]
-    rho = sum(c * b for c, b in zip(coeffs, basis))
-    pops = gel.C_coeffs @ vec(rho)
-    z = float(np.real(np.trace(rho))) + float(np.real(np.sum(pops)))
-    if abs(z) < 1e-12:
-        raise SteadyStateError("kernel element has zero total weight")
-    rho = rho / z
+    x, _ = _stationary_solve(gel.matrix, trace_row(n) + gel.C_coeffs.sum(axis=0))
+    rho = unvec(x, n)
     rho = 0.5 * (rho + rho.conj().T)
     pops = np.real(gel.C_coeffs @ vec(rho))
     return DensityMatrixP(rho, tuple(pops))

@@ -17,8 +17,8 @@ last row ``[0, -K W, -K* W, -2 - 2 Ge]``.  The decomposition
 scattering H_eff holds entrywise; the quantum-jump matrix L_QJ returns the
 continuum flux to the populations, fraction beta to gg and 1-beta to ee.
 The ee diagonal necessarily carries ``-2 Gamma_e`` (the gg and ee rows of
-the generator cancel exactly, which is what makes the kernel
-one-dimensional and the 3x3 Cramer reduction exact).
+the generator cancel exactly, so one population row is redundant and can
+carry the normalization instead).
 
 The integrated continuum population follows from the steady state through
 the coefficient vector ``C = (2/Gamma_c) [Omega^2, Omega, Omega, 1]``,
@@ -37,28 +37,20 @@ import numpy as np
 from .lineshape import FitResult, LineshapeDecomposition, decompose, fit_rational_quadratic
 from .models import DensityMatrixP, FanoParams
 from .scattering import build_heff
-from .superop import basis_jump_superop, dephasing_superop, hamiltonian_superop
+from .superop import SteadyStateError, _stationary_solve, trace_row, transport_rate_from
 
 __all__ = [
     "EffectiveLiouvillian4",
     "build_effective_liouvillian",
-    "CramerSystem",
-    "cramer_system",
     "steady_state",
-    "steady_state_cramer",
     "SteadyStateError",
     "transport_rate",
-    "continuum_coherence",
     "absorption_rate",
     "SweepResult",
     "lineshape_sweep",
 ]
 
 logger = logging.getLogger("fanosolve")
-
-
-class SteadyStateError(RuntimeError):
-    """No unique physical steady state for the requested parameters."""
 
 
 @dataclass(frozen=True)
@@ -123,42 +115,6 @@ def build_effective_liouvillian(p: FanoParams) -> EffectiveLiouvillian4:
     return EffectiveLiouvillian4(L, build_heff(p), _quantum_jump_matrix(Om, beta), C, K, A)
 
 
-def discrete_dissipator_superop(p: FanoParams) -> np.ndarray:
-    """Two-level-system dissipators: e->g jump (rate 2 Gamma_e) plus dephasing."""
-    out = basis_jump_superop(1, 0, 2.0 * p.Gamma_e, 2)
-    out = out + dephasing_superop(0, 1, p.gamma_eg, 2)
-    return out
-
-
-@dataclass(frozen=True)
-class CramerSystem:
-    """3x3 reduction ``M v = b`` of the kernel problem.
-
-    Unknowns ``v = (rho'_gg, rho'_eg, rho'_ge)`` with ``rho'_ee = 1``; rows
-    are the gg, eg and ge rows of the effective Liouvillian (its ee row is
-    the exact negative of the gg row, hence redundant).  For beta = 1 this
-    is the standard closed-form system ``M = [[0, K W, K* W], [-K* W, A, 0],
-    [-K W, 0, A*]]``, ``b = (-2 Gamma_e - 2, K W, K* W)``.
-    """
-
-    M: np.ndarray
-    b: np.ndarray
-
-
-def cramer_system(p: FanoParams) -> CramerSystem:
-    L = build_effective_liouvillian(p).matrix
-    return CramerSystem(L[:3, :3].copy(), -L[:3, 3].copy())
-
-
-def _normalize(vec4: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, float]:
-    nc = float(np.real(C @ vec4))
-    z = float(np.real(vec4[0] + vec4[3])) + nc
-    if not np.isfinite(z) or abs(z) < 1e-300:
-        raise SteadyStateError("steady state has vanishing total weight")
-    vec4 = vec4 / z
-    return vec4, nc / z
-
-
 def _as_density(vec4: np.ndarray, nc: float) -> DensityMatrixP:
     rho = np.array([[vec4[0], vec4[2]], [vec4[1], vec4[3]]], dtype=complex)
     rho = 0.5 * (rho + rho.conj().T)
@@ -168,51 +124,14 @@ def _as_density(vec4: np.ndarray, nc: float) -> DensityMatrixP:
 def steady_state(p: FanoParams) -> DensityMatrixP:
     """Unique steady state of the effective generator, trace-plus-continuum normalized.
 
-    Solves the three independent generator rows with the normalization
-    constraint appended (numerically safer than dividing by det(M) when the
-    latter is small; the Cramer route is kept as a cross-check in
-    :func:`steady_state_cramer`).  Raises :class:`SteadyStateError` when the
-    kernel is not one-dimensional, e.g. with all relaxation channels and the
-    drive switched off.
+    Uses the certified kernel solve shared by every solver, with the
+    normalization row ``trace + C``.  Raises :class:`SteadyStateError` when
+    the kernel is not one-dimensional, e.g. with all relaxation channels and
+    the drive switched off.
     """
     eff = build_effective_liouvillian(p)
-    A = np.zeros((4, 4), dtype=complex)
-    A[:3] = eff.matrix[:3]
-    A[3] = np.array([1.0, 0.0, 0.0, 1.0]) + eff.C
-    rhs = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
-    try:
-        x = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SteadyStateError(f"no unique steady state: {exc}") from exc
-    resid = np.max(np.abs(A @ x - rhs))
-    if not np.isfinite(resid) or resid > 1e-8:
-        raise SteadyStateError(f"steady-state solve residual {resid:.2e}; "
-                               "kernel degenerate or ill-conditioned")
-    nc = float(np.real(eff.C @ x))
-    return _as_density(x, nc)
-
-
-def steady_state_cramer(p: FanoParams) -> DensityMatrixP:
-    """Steady state via Cramer determinants; cross-check path.
-
-    ``(rho'_gg, rho'_eg, rho'_ge, rho'_ee) = (det M1, det M2, det M3, det M)``
-    up to the common normalization.  Rejects ``det(M) = 0`` (either no
-    steady state or a degenerate kernel).
-    """
-    eff = build_effective_liouvillian(p)
-    sys_ = cramer_system(p)
-    det_m = np.linalg.det(sys_.M)
-    scale = np.max(np.abs(sys_.M), initial=0.0) ** 3
-    if abs(det_m) <= 1e-14 * max(scale, 1e-300):
-        raise SteadyStateError("det(M) = 0: no unique steady state")
-    vec4 = np.empty(4, dtype=complex)
-    for i in range(3):
-        mi = sys_.M.copy()
-        mi[:, i] = sys_.b
-        vec4[i] = np.linalg.det(mi)
-    vec4[3] = det_m
-    vec4, nc = _normalize(vec4, eff.C)
-    return _as_density(vec4, nc)
+    x, _ = _stationary_solve(eff.matrix, trace_row(2) + eff.C)
+    return _as_density(x, float(np.real(eff.C @ x)))
 
 
 def transport_rate(p: FanoParams) -> float:
@@ -223,22 +142,11 @@ def transport_rate(p: FanoParams) -> float:
     saturated ground state.
     """
     ss = steady_state(p)
-    rho_gg = float(np.real(ss.rho[0, 0]))
-    if rho_gg <= 1e-12:
-        raise SteadyStateError("rho_gg = 0 at steady state; transfer rate undefined")
-    return p.Gamma_c * ss.continuum_pops[0] / rho_gg
+    return float(transport_rate_from([p.Gamma_c], ss.continuum_pops, ss.rho[0, 0].real))
 
 
-def continuum_coherence(p: FanoParams, ss: DensityMatrixP) -> complex:
-    """Coupling-weighted continuum-ground coherence integral.
-
-    First-order reconstruction of the eliminated subspace at stationarity:
-    every surviving single-pole integral contributes the same
-    energy-independent constant, so the integral collapses to
-    ``i (rho_eg + Omega rho_gg)`` in reference-coupling units (the sign of
-    the constant follows the phase convention of :mod:`fanosolve.superop`).
-    """
-    return 1j * (ss.rho[1, 0] + p.Omega * ss.rho[0, 0])
+def _absorption(p: FanoParams, rho_gg, rho_eg):
+    return 2.0 * p.Omega * np.imag(p.q * rho_eg + 1j * (rho_eg + p.Omega * rho_gg))
 
 
 def absorption_rate(p: FanoParams, ss: DensityMatrixP | None = None) -> float:
@@ -252,9 +160,7 @@ def absorption_rate(p: FanoParams, ss: DensityMatrixP | None = None) -> float:
     """
     if ss is None:
         ss = steady_state(p)
-    rho_eg = ss.rho[1, 0]
-    val = p.q * rho_eg + 1j * (rho_eg + p.Omega * ss.rho[0, 0])
-    return 2.0 * p.Omega * float(np.imag(val))
+    return float(_absorption(p, ss.rho[0, 0], ss.rho[1, 0]))
 
 
 _OBSERVABLES = ("continuum_pop", "transport_rate", "absorption")
@@ -266,9 +172,10 @@ class SweepResult:
 
     ``decomposition`` and the fit fields are None when the fit was not
     attempted (fewer than 6 points) or failed; ``fit_residual`` is the
-    largest relative misfit over the sweep, so a value well above float
-    noise flags a lineshape outside the Fano-plus-Lorentzian family (seen
-    for branching beta < 1).
+    largest relative misfit over the sweep.  Every observable of the single
+    resonance is an exact rational quadratic in the detuning, branching
+    beta < 1 included, so the residual stays at float noise; a larger value
+    flags a failed fit.
     """
 
     epsilons: np.ndarray
@@ -290,24 +197,24 @@ def lineshape_sweep(p: FanoParams, epsilons, observable: str = "continuum_pop",
     ``absorption``.  When ``fit`` is true and the grid has at least six
     points, the sweep is least-squares fitted by a rational quadratic and
     decomposed into (Delta, sigma, q, D); fit failure is recorded, not
-    raised.  Errors from individual steady-state solves propagate.
+    raised.  All points are certified and solved in one batched call; a
+    failing point raises :class:`SteadyStateError` naming its index.
     """
     if observable not in _OBSERVABLES:
         raise ValueError(f"observable must be one of {_OBSERVABLES}")
     epsilons = np.asarray(epsilons, dtype=float)
-    values = np.empty_like(epsilons)
-    for i, eps in enumerate(epsilons):
-        pi = p.with_epsilon(eps)
-        ss = steady_state(pi)
-        if observable == "continuum_pop":
-            values[i] = ss.continuum_pops[0]
-        elif observable == "transport_rate":
-            rho_gg = float(np.real(ss.rho[0, 0]))
-            if rho_gg <= 1e-12:
-                raise SteadyStateError("rho_gg = 0 during sweep; rate undefined")
-            values[i] = pi.Gamma_c * ss.continuum_pops[0] / rho_gg
-        else:
-            values[i] = absorption_rate(pi, ss)
+    # the detuning enters only the eg and ge diagonals: L(eps) = L(0) + eps D
+    eff = build_effective_liouvillian(p.with_epsilon(0.0))
+    stack = eff.matrix + epsilons[..., None, None] * np.diag([0.0, -1j, 1j, 0.0])
+    x, _ = _stationary_solve(stack, trace_row(2) + eff.C)
+    nc = np.real(x @ eff.C)
+    rho_gg = x[..., 0].real
+    if observable == "continuum_pop":
+        values = nc
+    elif observable == "transport_rate":
+        values = transport_rate_from([p.Gamma_c], nc[..., None], rho_gg)
+    else:
+        values = _absorption(p, rho_gg, 0.5 * (x[..., 1] + x[..., 2].conj()))
 
     fit_res = None
     dec = None

@@ -129,7 +129,6 @@ class Continuum:
     couplings: tuple[float, ...]
     relax_rates: tuple[float, ...]
     dephase_rates: tuple[float, ...] | None = None
-    pump_rates: tuple[float, ...] | None = None
     center: float = 0.0
     photon_index: int = 1
     label: str = ""
@@ -140,9 +139,6 @@ class Continuum:
         if self.dephase_rates is not None:
             object.__setattr__(self, "dephase_rates",
                                tuple(float(v) for v in self.dephase_rates))
-        if self.pump_rates is not None:
-            object.__setattr__(self, "pump_rates",
-                               tuple(float(v) for v in self.pump_rates))
 
 
 @dataclass(frozen=True)
@@ -234,10 +230,6 @@ def validate_model(model: GeneralModel) -> list[str]:
                 out.append(f"continuum {a}: expected {n} dephase_rates")
             if any(g < 0 for g in cont.dephase_rates):
                 out.append(f"continuum {a}: dephasing rates must be nonnegative")
-        if cont.pump_rates is not None and any(g != 0 for g in cont.pump_rates):
-            # Incoherent injection into a flat band has a divergent total rate.
-            out.append(f"continuum {a}: incoherent pumping into the continuum "
-                       "diverges in the wideband approximation and is not supported")
 
     for a, b, g in model.jumps:
         if not (0 <= a < n and 0 <= b < n):

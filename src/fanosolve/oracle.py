@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .liouville import SteadyStateError
 from .models import DensityMatrixP, GeneralModel, validate_model
-from .superop import trace_row
+from .superop import SteadyStateError, _stationary_solve, trace_row, transport_rate_from
 
 __all__ = [
     "DiscretizationSpec",
@@ -42,8 +41,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger("fanosolve")
-
-_KERNEL_SEP = 1e6
 
 
 @dataclass(frozen=True)
@@ -192,7 +189,8 @@ class OracleSolution:
     artifact, tolerated down to -1e-9 and reported rather than hidden);
     ``kernel_separation`` is the ratio of the two smallest singular values
     of the eliminated generator (large means a clean one-dimensional
-    kernel).
+    kernel; NaN when the eliminated system is too large for the SVD and the
+    check was skipped).
     """
 
     rho: np.ndarray
@@ -213,24 +211,19 @@ def _schur_parts(fl: FullLindbladian):
     return iq, ir
 
 
-def oracle_steady_state(fl: FullLindbladian, check_kernel: bool | None = None,
-                        psd_floor: float = -1e-9) -> OracleSolution:
+def oracle_steady_state(fl: FullLindbladian) -> OracleSolution:
     """Steady state of the full generator via exact block elimination.
 
-    The continuum-continuum block is verified to be diagonal, eliminated
-    exactly, and the remaining dense system solved with one redundant row
-    replaced by the trace constraint (the population rows of a
-    trace-annihilating generator sum to zero, so dropping one loses
-    nothing).  Kernel uniqueness is certified through the singular values
-    of the eliminated generator when ``check_kernel`` is true (default: on
-    up to 2000 retained components).  Violations of positivity beyond
-    ``psd_floor`` or a degenerate kernel raise :class:`SteadyStateError`.
+    The continuum-continuum block is verified to be diagonal and eliminated
+    exactly; the remaining dense system (the Schur complement) goes through
+    the certified kernel solve shared by every solver, with the
+    correspondingly eliminated trace row as normalization.  Violations of
+    positivity beyond -1e-9 or a degenerate kernel raise
+    :class:`SteadyStateError`.
     """
     L = fl.matrix
     n = fl.n_total
     iq, ir = _schur_parts(fl)
-    if check_kernel is None:
-        check_kernel = ir.size <= 2000
 
     lqq = L[iq][:, iq]
     off_diag = lqq - sp.diags(lqq.diagonal())
@@ -246,29 +239,15 @@ def oracle_steady_state(fl: FullLindbladian, check_kernel: bool | None = None,
     g_qr = L[iq][:, ir]
     schur = e_rr - (f_rq @ (sp.diags(1.0 / dq) @ g_qr)).toarray()
 
-    sep = np.inf
-    if check_kernel:
-        sv = np.linalg.svd(schur, compute_uv=False)
-        sep = float(sv[-2] / sv[-1]) if sv[-1] > 0 else np.inf
-        if sv[-2] == 0 or (np.isfinite(sep) and sep <= _KERNEL_SEP):
-            raise SteadyStateError(
-                f"degenerate kernel (singular value separation {sep:.1e})")
-
     t_full = trace_row(n)
     t_row = t_full[ir] - (t_full[iq] / dq) @ g_qr
-    row0 = int(np.flatnonzero(ir == 0)[0])  # gg population row, redundant
-    a = schur.copy()
-    a[row0] = t_row
-    rhs = np.zeros(ir.size, dtype=complex)
-    rhs[row0] = 1.0
-    try:
-        xr = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SteadyStateError(f"steady-state solve failed: {exc}") from exc
+    # flat index 0, the gg population row the shared solve replaces, is ir[0]
+    xr, sep = _stationary_solve(schur, t_row)
 
     x = np.zeros(n * n, dtype=complex)
     x[ir] = xr
     x[iq] = -(g_qr @ xr) / dq
+    # the shared solve checked the Schur residual; this also covers x[iq]
     scale = max(np.abs(L.data).max(), 1.0)
     residual = float(np.max(np.abs(L @ x)) / scale)
     if not np.isfinite(residual) or residual > 1e-8:
@@ -279,7 +258,7 @@ def oracle_steady_state(fl: FullLindbladian, check_kernel: bool | None = None,
     rho /= np.real(np.trace(rho))
     evals = np.linalg.eigvalsh(rho)
     min_eig = float(evals[0])
-    if min_eig < psd_floor:
+    if min_eig < -1e-9:
         raise SteadyStateError(f"steady state not positive (min eigenvalue {min_eig:.2e})")
     if min_eig < 0:
         logger.info("oracle steady state has small negative eigenvalue %.2e "
@@ -288,16 +267,13 @@ def oracle_steady_state(fl: FullLindbladian, check_kernel: bool | None = None,
     nd = fl.n_discrete
     pops = tuple(float(np.real(np.trace(rho[sl, sl]))) for sl in fl.continuum_slices)
     reduced = DensityMatrixP(rho[:nd, :nd], pops)
-    return OracleSolution(rho, reduced, residual, min_eig, sep)
+    return OracleSolution(rho, reduced, residual, min_eig, float(sep))
 
 
 def transport_rate_oracle(fl: FullLindbladian, sol: OracleSolution) -> float:
     """Ground-to-continuum transfer rate from the discretized steady state."""
-    rho_gg = float(np.real(sol.rho[0, 0]))
-    if rho_gg <= 1e-12:
-        raise SteadyStateError("rho_gg = 0; transfer rate undefined")
-    flux = sum(g * p for g, p in zip(fl.total_relax_rates, sol.reduced.continuum_pops))
-    return flux / rho_gg
+    return float(transport_rate_from(fl.total_relax_rates, sol.reduced.continuum_pops,
+                                     sol.rho[0, 0].real))
 
 
 @dataclass(frozen=True)

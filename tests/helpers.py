@@ -1,6 +1,12 @@
-"""Shared test utilities."""
+"""Shared test utilities, including the cross-check paths of the 4x4 solver."""
 
-from fanosolve import RationalQuadratic
+from dataclasses import dataclass
+
+import numpy as np
+
+from fanosolve import (DensityMatrixP, FanoParams, RationalQuadratic,
+                       SteadyStateError, build_effective_liouvillian)
+from fanosolve.superop import basis_jump_superop, dephasing_superop
 
 
 def random_rq(rng):
@@ -12,3 +18,63 @@ def random_rq(rng):
     b0 = (sigma**2 + delta**2) * b2
     a = rng.uniform(-3, 3, size=3)
     return RationalQuadratic(a[0], a[1], a[2], b0, b1, b2)
+
+
+def discrete_dissipator_superop(p: FanoParams) -> np.ndarray:
+    """Two-level-system dissipators: e->g jump (rate 2 Gamma_e) plus dephasing."""
+    out = basis_jump_superop(1, 0, 2.0 * p.Gamma_e, 2)
+    out = out + dephasing_superop(0, 1, p.gamma_eg, 2)
+    return out
+
+
+@dataclass(frozen=True)
+class CramerSystem:
+    """3x3 reduction ``M v = b`` of the kernel problem.
+
+    Unknowns ``v = (rho'_gg, rho'_eg, rho'_ge)`` with ``rho'_ee = 1``; rows
+    are the gg, eg and ge rows of the effective Liouvillian (its ee row is
+    the exact negative of the gg row, hence redundant).  For beta = 1 this
+    is the standard closed-form system ``M = [[0, K W, K* W], [-K* W, A, 0],
+    [-K W, 0, A*]]``, ``b = (-2 Gamma_e - 2, K W, K* W)``.
+    """
+
+    M: np.ndarray
+    b: np.ndarray
+
+
+def cramer_system(p: FanoParams) -> CramerSystem:
+    L = build_effective_liouvillian(p).matrix
+    return CramerSystem(L[:3, :3].copy(), -L[:3, 3].copy())
+
+
+def _normalize(vec4: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, float]:
+    nc = float(np.real(C @ vec4))
+    z = float(np.real(vec4[0] + vec4[3])) + nc
+    if not np.isfinite(z) or abs(z) < 1e-300:
+        raise SteadyStateError("steady state has vanishing total weight")
+    vec4 = vec4 / z
+    return vec4, nc / z
+
+
+def steady_state_cramer(p: FanoParams) -> DensityMatrixP:
+    """Steady state via Cramer determinants; cross-check of :func:`steady_state`.
+
+    ``(rho'_gg, rho'_eg, rho'_ge, rho'_ee) = (det M1, det M2, det M3, det M)``
+    up to the common normalization.  Rejects ``det(M) = 0`` (either no
+    steady state or a degenerate kernel).
+    """
+    eff = build_effective_liouvillian(p)
+    sys_ = cramer_system(p)
+    det_m = np.linalg.det(sys_.M)
+    scale = np.max(np.abs(sys_.M), initial=0.0) ** 3
+    if abs(det_m) <= 1e-14 * max(scale, 1e-300):
+        raise SteadyStateError("det(M) = 0: no unique steady state")
+    vec4 = np.empty(4, dtype=complex)
+    for i in range(3):
+        mi = sys_.M.copy()
+        mi[:, i] = sys_.b
+        vec4[i] = np.linalg.det(mi)
+    vec4[3] = det_m
+    vec4, nc = _normalize(vec4, eff.C)
+    rho = np.array([[vec4[0], vec4[2]], [vec4[1], vec4[3]]], dtype=complex)
+    return DensityMatrixP(0.5 * (rho + rho.conj().T), (nc,))

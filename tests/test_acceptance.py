@@ -6,17 +6,16 @@ report.  Tolerances are pinned here, not configurable.
 
 import numpy as np
 import pytest
-from helpers import random_rq
+from helpers import discrete_dissipator_superop, random_rq, steady_state_cramer
 
 from fanosolve import (DiscretizationSpec, FanoParams, LineshapeDecomposition,
                        build_effective_liouvillian, build_full_lindbladian,
                        build_general, decompose, fano_model, fano_profile,
                        two_band_demo_model, general_steady_state, lineshape_sweep,
                        oracle_steady_state, poles, steady_state,
-                       steady_state_cramer, survival_probability,
+                       survival_probability,
                        three_level_model, transport_rate, two_continua_model,
                        weak_field_rate)
-from fanosolve.liouville import discrete_dissipator_superop
 from fanosolve.oracle import transport_rate_oracle
 from fanosolve.superop import hamiltonian_superop
 

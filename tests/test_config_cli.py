@@ -87,6 +87,16 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match="total relaxation rate"):
             load_config(str(path))
 
+    def test_continuum_pumping_rejected(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(
+            "levels:\n- {energy: 0.0}\n- {energy: 1.0, photon_index: 1}\n"
+            "continua:\n- {density: 0.3, couplings: [0.05, 1.0], "
+            "relax_rates: [1.0, 0.0], pump_rates: [0.1, 0.0]}\n"
+            "field: {omega_L: 0.0}\n")
+        with pytest.raises(ConfigError, match="diverges in the wideband approximation"):
+            load_config(str(path))
+
     def test_oracle_ladder_parsed(self, tmp_path):
         m = fano_model(FanoParams(0.0, 1.0, 0.05, Gamma_cg=2.0))
         path = tmp_path / "m.yaml"

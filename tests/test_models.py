@@ -73,14 +73,6 @@ class TestValidateModel:
         m = two_level_model(dipoles=dip)
         assert any("diagonal" in v for v in validate_model(m))
 
-    def test_continuum_pumping_rejected(self):
-        m = two_level_model(continua=(Continuum(density=1 / np.pi,
-                                                couplings=(0.05, 1.0),
-                                                relax_rates=(1.0, 0.0),
-                                                pump_rates=(0.1, 0.0)),))
-        assert any("diverges in the wideband approximation" in v
-                   for v in validate_model(m))
-
     def test_bad_jump_reference(self):
         m = two_level_model(jumps=((5, 0, 0.1),))
         assert any("missing level" in v for v in validate_model(m))
