@@ -13,20 +13,16 @@ import pathlib
 
 import numpy as np
 
-from fanosolve import build_general, general_steady_state
+from fanosolve import general_sweep
 from fanosolve.config import load_config
 
 cfg = load_config(str(pathlib.Path(__file__).parent / "two_band_demo.yaml"))
 model = cfg.model
 grid = cfg.sweep.grid()
 
-pop_a = np.empty_like(grid)
-pop_b = np.empty_like(grid)
-ground = np.empty_like(grid)
-for k, omega_l in enumerate(grid):
-    ss = general_steady_state(build_general(model, omega_L=float(omega_l)))
-    pop_a[k], pop_b[k] = ss.continuum_pops
-    ground[k] = ss.populations[0]
+rho, pops = general_sweep(model, grid)
+pop_a, pop_b = pops.T
+ground = rho[:, 0, 0].real
 
 total = pop_a + pop_b
 peaks = np.flatnonzero((total[1:-1] > total[:-2]) & (total[1:-1] > total[2:])) + 1

@@ -25,7 +25,7 @@ from .liouville import (EffectiveLiouvillian4, SteadyStateError, absorption_rate
                         steady_state, transport_rate)
 from .general import (GeneralEffectiveLiouvillian, build_general,
                       continuum_coherences, fano_model, two_band_demo_model,
-                      general_steady_state, three_level_model,
+                      general_steady_state, general_sweep, three_level_model,
                       two_continua_model)
 from .oracle import (ConvergenceStudy, DiscretizationSpec, FullLindbladian,
                      build_full_lindbladian, convergence_study,
@@ -44,8 +44,8 @@ __all__ = [
     "build_effective_liouvillian", "lineshape_sweep", "steady_state",
     "transport_rate",
     "GeneralEffectiveLiouvillian", "build_general", "continuum_coherences",
-    "fano_model", "two_band_demo_model", "general_steady_state", "three_level_model",
-    "two_continua_model",
+    "fano_model", "two_band_demo_model", "general_steady_state", "general_sweep",
+    "three_level_model", "two_continua_model",
     "ConvergenceStudy", "DiscretizationSpec", "FullLindbladian",
     "build_full_lindbladian", "convergence_study", "oracle_steady_state",
     "__version__",

@@ -26,12 +26,12 @@ import numpy as np
 
 from . import __version__
 from .config import load_config
-from .general import build_general, general_steady_state
+from .general import build_general, general_steady_state, general_sweep
 from .lineshape import decompose, fit_rational_quadratic
 from .liouville import SteadyStateError, lineshape_sweep
 from .models import FanoParams
 from .oracle import convergence_study
-from .scattering import ionization_sweep, survival_rate
+from .scattering import _survival
 from .superop import transport_rate_from
 
 __all__ = ["main"]
@@ -70,7 +70,7 @@ def _parse_list(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split(",")])
 
 
-def _fano_params(args, epsilon: float = 0.0) -> FanoParams:
+def _fano_params(args) -> FanoParams:
     gamma_cg = args.gamma_cg
     gamma_ce = args.gamma_ce
     if args.gamma_c is not None:
@@ -81,25 +81,22 @@ def _fano_params(args, epsilon: float = 0.0) -> FanoParams:
         tot = gamma_cg + gamma_ce
         gamma_cg = tot * args.beta
         gamma_ce = tot * (1.0 - args.beta)
-    return FanoParams(epsilon=epsilon, q=args.q, Omega=args.omega,
+    return FanoParams(epsilon=0.0, q=args.q, Omega=args.omega,
                       Gamma_e=args.gamma_e, Gamma_cg=gamma_cg, Gamma_ce=gamma_ce,
                       gamma_eg=args.gamma_eg)
 
 
 def cmd_scatter(args) -> int:
-    eps = args.eps
-    times = args.t
-    p_grid = ionization_sweep(eps, times, q=args.q, Omega=args.omega)
-    rows = []
-    for i, t in enumerate(times):
-        for j, e in enumerate(eps):
-            rate = -survival_rate(FanoParams(float(e), args.q, args.omega), t)
-            rows.append((e, t, p_grid[i, j], rate))
-    _write_csv(args.out, ["epsilon", "T", "P", "dP_dt"], rows)
+    s, ds = _survival(FanoParams(0.0, args.q, args.omega), args.eps, args.t[:, None])
+    p_grid = 1.0 - s
+    e_grid, t_grid = np.meshgrid(args.eps, args.t)
+    _write_csv(args.out, ["epsilon", "T", "P", "dP_dt"],
+               np.column_stack([e_grid.ravel(), t_grid.ravel(), p_grid.ravel(),
+                                -ds.ravel()]))
     last = p_grid[-1]
     lo = last.min()
     ratio = last.max() / lo if lo > 0 else float("inf")
-    print(f"profile max/min ratio at T={times[-1]:g}: {_fmt(ratio)}")
+    print(f"profile max/min ratio at T={args.t[-1]:g}: {_fmt(ratio)}")
     return 0
 
 
@@ -143,12 +140,9 @@ def cmd_general(args) -> int:
     header = (["omega_L"] + [f"pop_continuum_{lbl}" for lbl in labels]
               + ["pop_continuum_total"]
               + [f"pop_level_{i}" for i in range(model.n_levels)])
-    rows = []
-    for om in grid:
-        gel = build_general(model, omega_L=float(om))
-        ss = general_steady_state(gel)
-        pops = list(ss.continuum_pops)
-        rows.append([om] + pops + [sum(pops)] + list(ss.populations))
+    rho, pops = general_sweep(model, grid)
+    rows = np.column_stack([grid, pops, pops.sum(axis=1),
+                            np.real(np.diagonal(rho, axis1=-2, axis2=-1))])
     out = args.out or cfg.run.output
     _write_csv(out, header, rows)
     return 0

@@ -36,6 +36,7 @@ __all__ = [
     "GeneralEffectiveLiouvillian",
     "build_general",
     "general_steady_state",
+    "general_sweep",
     "continuum_coherences",
     "fano_model",
     "three_level_model",
@@ -113,6 +114,15 @@ def build_general(model: GeneralModel, omega_L: float = 0.0) -> GeneralEffective
     return GeneralEffectiveLiouvillian(heff, ltilde, l_d, c_coeffs, n)
 
 
+def _solve(gen: np.ndarray, gel: GeneralEffectiveLiouvillian):
+    """Hermitian steady states and continuum populations of a generator or a stack."""
+    n = gel.n_levels
+    x, _ = _stationary_solve(gen, trace_row(n) + gel.C_coeffs.sum(axis=0))
+    rho = unvec(x, n)
+    rho = 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
+    return rho, np.real(gel.C_coeffs @ vec(rho)[..., None])[..., 0]
+
+
 def general_steady_state(gel: GeneralEffectiveLiouvillian) -> DensityMatrixP:
     """Kernel of the effective generator, normalized with the continuum populations.
 
@@ -121,12 +131,22 @@ def general_steady_state(gel: GeneralEffectiveLiouvillian) -> DensityMatrixP:
     (e.g. relaxation into a manifold without internal dissipation) raises
     :class:`SteadyStateError` naming the kernel dimension.
     """
-    n = gel.n_levels
-    x, _ = _stationary_solve(gel.matrix, trace_row(n) + gel.C_coeffs.sum(axis=0))
-    rho = unvec(x, n)
-    rho = 0.5 * (rho + rho.conj().T)
-    pops = np.real(gel.C_coeffs @ vec(rho))
+    rho, pops = _solve(gel.matrix, gel)
     return DensityMatrixP(rho, tuple(pops))
+
+
+def general_sweep(model: GeneralModel, omegas):
+    """Steady states ``(rho, continuum_pops)`` over a drive-frequency sweep.
+
+    The generator is affine in the drive, ``L(omega_L) = L(0) + omega_L *
+    hamiltonian_superop(-diag(photon_indices))``, so the model is assembled
+    once and all points are solved in one call; the results have shapes
+    ``omegas.shape + (N, N)`` and ``omegas.shape + (M,)``.  A failing point
+    raises :class:`SteadyStateError` naming its index.
+    """
+    gel = build_general(model)
+    shift = hamiltonian_superop(-np.diag(np.asarray(model.photon_indices, dtype=float)))
+    return _solve(gel.matrix + np.asarray(omegas, dtype=float)[..., None, None] * shift, gel)
 
 
 def continuum_coherences(gel: GeneralEffectiveLiouvillian, state: DensityMatrixP,

@@ -11,7 +11,8 @@ Objects defined here are frozen value types and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -68,6 +69,9 @@ class FanoParams:
     gamma_ke: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("Omega", "Gamma_e", "Gamma_cg", "Gamma_ce",
                      "gamma_eg", "gamma_kg", "gamma_ke"):
             if getattr(self, name) < 0:
@@ -120,7 +124,6 @@ class Continuum:
     pure-dephasing rate of continuum coherences against level b; the
     effective solvers ignore it (wideband), the discretized one applies it.
     ``center`` locates the band (used only by the discretized validator,
-
     the wideband solution is insensitive to it) and ``photon_index`` counts
     the photons absorbed to reach the band from the ground manifold.
     """
@@ -203,8 +206,12 @@ def validate_model(model: GeneralModel) -> list[str]:
     if len(model.photon_indices) != n:
         out.append("photon_indices length does not match the number of levels")
 
+    if not np.all(np.isfinite(model.energies)):
+        out.append("level energies must be finite")
     dip = model.dipoles
-    if dip.shape != (n, n):
+    if not np.all(np.isfinite(dip)):
+        out.append("dipole matrix entries must be finite")
+    elif dip.shape != (n, n):
         out.append(f"dipole matrix shape {dip.shape} does not match {n} levels")
     else:
         if np.max(np.abs(dip - dip.conj().T), initial=0.0) > _HERM_TOL:
@@ -214,8 +221,11 @@ def validate_model(model: GeneralModel) -> list[str]:
                        "level energies belong in `energies`")
 
     for a, cont in enumerate(model.continua):
-        if cont.density <= 0:
-            out.append(f"continuum {a}: density of states must be positive")
+        if not 0 < cont.density < math.inf:
+            out.append(f"continuum {a}: density of states must be positive and finite")
+        for name in ("couplings", "relax_rates", "dephase_rates"):
+            if not np.all(np.isfinite(getattr(cont, name) or ())):
+                out.append(f"continuum {a}: {name} must be finite")
         if len(cont.couplings) != n:
             out.append(f"continuum {a}: expected {n} couplings, got {len(cont.couplings)}")
         if len(cont.relax_rates) != n:
@@ -234,13 +244,13 @@ def validate_model(model: GeneralModel) -> list[str]:
     for a, b, g in model.jumps:
         if not (0 <= a < n and 0 <= b < n):
             out.append(f"jump ({a}->{b}) references a missing level")
-        if g < 0:
-            out.append(f"jump ({a}->{b}) has negative rate {g}")
+        if not 0 <= g < math.inf:
+            out.append(f"jump ({a}->{b}) needs a finite nonnegative rate, got {g}")
     for i, j, g in model.dephasings:
         if not (0 <= i < n and 0 <= j < n) or i == j:
             out.append(f"dephasing ({i},{j}) must reference two distinct levels")
-        if g < 0:
-            out.append(f"dephasing ({i},{j}) has negative rate {g}")
+        if not 0 <= g < math.inf:
+            out.append(f"dephasing ({i},{j}) needs a finite nonnegative rate, got {g}")
     return out
 
 

@@ -21,6 +21,7 @@ sparse LU with a replaced trace row in the test suite.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +62,10 @@ class DiscretizationSpec:
     dimension_cap: int = 2_000_000
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
+        if not math.isfinite(self.grid_offset):
+            raise ValueError(f"grid_offset must be finite, got {self.grid_offset}")
         if self.levels_per_continuum < 3:
             raise ValueError("need at least 3 levels per continuum")
 

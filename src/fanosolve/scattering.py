@@ -15,7 +15,6 @@ weak-field rate, rate hierarchy) follows from the pole data.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +32,6 @@ __all__ = [
     "n_ionized",
 ]
 
-#: |omega| / |omega_0| below which the two poles are treated as confluent.
-_DEGENERATE_TOL = 1e-9
-
 
 def build_heff(p: FanoParams) -> np.ndarray:
     """Effective 2x2 Hamiltonian on the (ground, excited) subspace."""
@@ -49,11 +45,11 @@ class PoleData:
     """Poles and residues of the ground-ground resolvent element.
 
     ``z1`` is the slow pole (decay rate ``Gamma0``), ``z2`` the fast one
-    (``Gamma2``); the square-root branch of ``omega`` is fixed to
+    (``Gamma2``); the square-root branch of ``omega = z1 - z2`` is fixed to
     ``Im(omega) >= 0`` so the labels are deterministic.  ``a1 + a2 = 1``.
-    A confluent pair (``omega ~ 0``) is flagged ``degenerate``; the
-    amplitude then carries a linear secular term handled by
-    :func:`survival_probability`.
+    At an exact confluence (``omega == 0``, an exceptional point) the
+    residues diverge: ``degenerate`` is set and they are NaN.  The survival
+    functions do not use the residues and stay accurate through it.
     """
 
     z1: complex
@@ -68,6 +64,18 @@ class PoleData:
     degenerate: bool = False
 
 
+def _pole_pair(epsilon, q: float, Omega: float):
+    """``(omega0, omega, z1, z2)`` on the ``Im(omega) >= 0`` branch; arrays over epsilon."""
+    omega0 = epsilon + 1j * (1.0 + Omega**2)
+    radicand = ((epsilon + 1j) ** 2
+                - 2.0 * Omega**2 * (1.0 - 2.0 * q**2 + 1j * (4.0 * q + epsilon))
+                - Omega**4)
+    omega = np.sqrt(radicand)
+    flip = (omega.imag < 0) | ((omega.imag == 0) & (omega.real < 0))
+    omega = np.where(flip, -omega, omega)
+    return omega0, omega, -(omega0 - omega) / 2.0, -(omega0 + omega) / 2.0
+
+
 def poles(p: FanoParams) -> PoleData:
     """Resolvent poles ``z_{1,2} = -(omega0 -+ omega)/2`` and their residues.
 
@@ -77,66 +85,59 @@ def poles(p: FanoParams) -> PoleData:
     swaps the pole labels); the branch with ``Im(omega) >= 0`` is chosen so
     that ``Gamma0 <= Gamma2`` always holds.
     """
-    eps, q, Om = p.epsilon, p.q, p.Omega
-    omega0 = eps + 1j * (1.0 + Om**2)
-    radicand = (eps + 1j) ** 2 - 2.0 * Om**2 * (1.0 - 2.0 * q**2 + 1j * (4.0 * q + eps)) - Om**4
-    omega = cmath.sqrt(radicand)
-    if omega.imag < 0 or (omega.imag == 0 and omega.real < 0):
-        omega = -omega
-
-    gamma1 = 1.0 + Om**2
-    gamma0 = gamma1 - omega.imag
-    gamma2 = gamma1 + omega.imag
-
-    if abs(omega) < _DEGENERATE_TOL * abs(omega0):
-        z = -omega0 / 2.0
-        # Confluent double pole: G_gg = 1/(z - z1) + (z1 + eps + i)/(z - z1)^2,
-        # so U_gg(t) = (1 - i (z1 + eps + i) t) exp(-i z1 t).  Residues are
-        # stored as the t-independent weight plus the secular coefficient.
-        return PoleData(z, z, omega0, omega, 1.0 + 0.0j, 0.0j,
-                        gamma0, gamma1, gamma2, degenerate=True)
-
-    z1 = -(omega0 - omega) / 2.0
-    z2 = -(omega0 + omega) / 2.0
-    a1 = (z1 + eps + 1j) / (z1 - z2)
-    a2 = (z2 + eps + 1j) / (z2 - z1)
-    return PoleData(z1, z2, omega0, omega, a1, a2, gamma0, gamma1, gamma2)
+    omega0, omega, z1, z2 = (complex(w) for w in _pole_pair(p.epsilon, p.q, p.Omega))
+    inv = 1.0 / omega if omega else complex("nan")
+    gamma1 = 1.0 + p.Omega**2
+    return PoleData(z1, z2, omega0, omega,
+                    (z1 + p.epsilon + 1j) * inv, -(z2 + p.epsilon + 1j) * inv,
+                    gamma1 - omega.imag, gamma1, gamma1 + omega.imag,
+                    degenerate=omega == 0)
 
 
-def _amplitude(pd: PoleData, p: FanoParams, t: np.ndarray) -> np.ndarray:
-    if pd.degenerate:
-        c = -1j * (pd.z1 + p.epsilon + 1j)
-        return (1.0 + c * t) * np.exp(-1j * pd.z1 * t)
-    return pd.a1 * np.exp(-1j * pd.z1 * t) + pd.a2 * np.exp(-1j * pd.z2 * t)
+def _survival(p: FanoParams, epsilon, t):
+    """``|U_gg|^2`` and its time derivative at the q and Omega of ``p``.
+
+    ``epsilon`` (in place of ``p.epsilon``) and ``t`` broadcast together.
+    With ``e1 = exp(-i z1 t)`` and ``e2 = e1 exp(i omega t)`` the amplitude
+    is ``(e1 + e2)/2 + (epsilon + i - omega0/2)(e1 - e2)/omega``; the
+    divided difference is evaluated as ``-i t e1 expm1(x)/x`` at
+    ``x = i omega t``, finite through ``omega = 0`` and, as ``Re x <= 0``,
+    free of overflow at long times.
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0) & (t < np.inf)):
+        raise ValueError("t must be finite and nonnegative")
+    epsilon = np.asarray(epsilon, dtype=float)
+    if not np.all(np.isfinite(epsilon)):
+        raise ValueError("epsilon must be finite")
+    omega0, omega, z1, z2 = _pole_pair(epsilon, p.q, p.Omega)
+    e1 = np.exp(-1j * z1 * t)
+    x = 1j * omega * t
+    e2 = e1 * np.exp(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dd = np.where(x == 0, 1.0, np.expm1(x) / x)
+    c = epsilon + 1j
+    u = 0.5 * (e1 + e2) - 1j * t * (c - omega0 / 2.0) * e1 * dd
+    du = -1j * (z1 * u + (z2 + c) * e2)
+    return np.abs(u) ** 2, 2.0 * np.real(np.conj(u) * du)
+
+
+def _scalar(out):
+    return out if out.ndim else float(out)
 
 
 def survival_probability(p: FanoParams, t):
     """Probability ``|U_gg(t)|**2`` of remaining in the ground state.
 
-    ``t >= 0`` in units of the inverse reference width; accepts arrays.
+    Finite ``t >= 0`` in units of the inverse reference width; accepts arrays.
     The ionization probability is ``P(t) = 1 - survival_probability(p, t)``.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
-    pd = poles(p)
-    out = np.abs(_amplitude(pd, p, t)) ** 2
-    return out if out.ndim else float(out)
+    return _scalar(_survival(p, p.epsilon, t)[0])
 
 
 def survival_rate(p: FanoParams, t):
     """Time derivative ``d|U_gg|^2/dt`` (so ``dP/dt`` is its negative)."""
-    t = np.asarray(t, dtype=float)
-    pd = poles(p)
-    u = _amplitude(pd, p, t)
-    if pd.degenerate:
-        c = -1j * (pd.z1 + p.epsilon + 1j)
-        du = (c + (1.0 + c * t) * (-1j * pd.z1)) * np.exp(-1j * pd.z1 * t)
-    else:
-        du = (-1j * pd.z1 * pd.a1 * np.exp(-1j * pd.z1 * t)
-              - 1j * pd.z2 * pd.a2 * np.exp(-1j * pd.z2 * t))
-    out = 2.0 * np.real(np.conj(u) * du)
-    return out if out.ndim else float(out)
+    return _scalar(_survival(p, p.epsilon, t)[1])
 
 
 def weak_field_rate(epsilon, q, Omega):
@@ -146,25 +147,17 @@ def weak_field_rate(epsilon, q, Omega):
     ``1 << t << 1/Gamma0``; callers own that check.
     """
     epsilon = np.asarray(epsilon, dtype=float)
-    out = 2.0 * Omega**2 * (epsilon + q) ** 2 / (1.0 + epsilon**2)
-    return out if out.ndim else float(out)
+    return _scalar(2.0 * Omega**2 * (epsilon + q) ** 2 / (1.0 + epsilon**2))
 
 
 def ionization_sweep(epsilons, times, q: float, Omega: float) -> np.ndarray:
     """Ionization probability ``P = 1 - |U_gg|^2`` on a (time, detuning) grid.
 
     Returns an array of shape ``(len(times), len(epsilons))`` with values in
-    [0, 1].  Grid points are independent; the loop is plain and
-    deterministic.
+    [0, 1], evaluated for the whole grid at once.
     """
-    epsilons = np.asarray(epsilons, dtype=float)
-    times = np.asarray(times, dtype=float)
-    out = np.empty((times.size, epsilons.size))
-    for j, eps in enumerate(epsilons):
-        pd = poles(FanoParams(epsilon=float(eps), q=q, Omega=Omega))
-        u = _amplitude(pd, FanoParams(epsilon=float(eps), q=q, Omega=Omega), times)
-        out[:, j] = 1.0 - np.abs(u) ** 2
-    return out
+    s, _ = _survival(FanoParams(0.0, q, Omega), epsilons, np.reshape(times, (-1, 1)))
+    return 1.0 - s
 
 
 def n_ionized(p: FanoParams, T: float, flux: float = 1.0,

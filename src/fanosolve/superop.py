@@ -58,13 +58,13 @@ def flat_index(ket: int, bra: int, n: int) -> int:
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
-    """Vectorize with the bra index slow (column stacking)."""
-    return np.asarray(rho).T.reshape(-1)
+    """Vectorize with the bra index slow (column stacking); leading axes stack."""
+    return np.swapaxes(rho, -1, -2).reshape(*np.shape(rho)[:-2], -1)
 
 
 def unvec(x: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`vec`."""
-    return np.asarray(x).reshape(n, n).T
+    return np.swapaxes(np.reshape(x, (*np.shape(x)[:-1], n, n)), -1, -2)
 
 
 def _kron(a, b, sparse: bool):

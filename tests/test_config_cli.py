@@ -129,6 +129,18 @@ class TestScatterCommand:
         main(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flag, value", [("--q", "nan"), ("--omega", "inf"),
+                                             ("--t", "-5,1"), ("--t", "1,nan")],
+                             ids=["q-nan", "omega-inf", "t-negative", "t-nan"])
+    def test_bad_input_exits_1(self, tmp_path, capsys, flag, value):
+        opts = {"--q": "1", "--omega": "0.1", "--t": "1,10", flag: value}
+        argv = ["scatter", "--eps", "-1:1:5", "--out", str(tmp_path / "s.csv")]
+        for item in opts.items():
+            argv.extend(item)
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_flat_profile_summary(self, tmp_path, capsys):
         main(["scatter", "--q", "1", "--omega", "5", "--t", "1",
               "--eps", "-10:10:41", "--out", str(tmp_path / "s.csv")])

@@ -1,11 +1,13 @@
+import logging
+
 import numpy as np
 import pytest
 
 from fanosolve import (Continuum, FanoParams, GeneralModel, SteadyStateError,
                        absorption_rate, build_effective_liouvillian,
                        build_general, continuum_coherences, fano_model,
-                       two_band_demo_model, general_steady_state, steady_state,
-                       three_level_model, two_continua_model)
+                       two_band_demo_model, general_steady_state, general_sweep,
+                       steady_state, three_level_model, two_continua_model)
 from fanosolve.superop import vec
 
 
@@ -99,17 +101,10 @@ class TestGeneralSteadyState:
 
     @pytest.mark.parametrize("v", [0.05, 0.1])
     def test_degenerate_kernel_rejected(self, v):
-        # a fully decoupled spectator level leaves a two-dimensional kernel;
         # at v = 0.05 the two smallest singular values are at rounding level
         # (one exactly zero), which must not read as infinite separation
-        dip = np.zeros((3, 3), dtype=complex)
-        dip[0, 1] = dip[1, 0] = v
-        m = GeneralModel(
-            energies=(0.0, 0.0, 2.0), photon_indices=(0, 1, 1), dipoles=dip,
-            continua=(Continuum(density=1 / np.pi, couplings=(v, 1.0, 0.0),
-                                relax_rates=(1.0, 0.0, 0.0)),))
         with pytest.raises(SteadyStateError, match="kernel dimension"):
-            general_steady_state(build_general(m, omega_L=0.0))
+            general_steady_state(build_general(spectator_model(v), omega_L=0.0))
 
     def test_hermiticity_preservation(self):
         gel = build_general(two_band_demo_model(), omega_L=10.0)
@@ -162,6 +157,42 @@ class TestGeneralSteadyState:
         s2 = general_steady_state(build_general(m2, omega_L=12.0 * s))
         np.testing.assert_allclose(s2.rho, s1.rho, atol=1e-12)
         np.testing.assert_allclose(s2.continuum_pops, s1.continuum_pops, atol=1e-13)
+
+
+def spectator_model(v: float = 0.1) -> GeneralModel:
+    """A fully decoupled spectator level leaves a two-dimensional kernel."""
+    dip = np.zeros((3, 3), dtype=complex)
+    dip[0, 1] = dip[1, 0] = v
+    return GeneralModel(
+        energies=(0.0, 0.0, 2.0), photon_indices=(0, 1, 1), dipoles=dip,
+        continua=(Continuum(density=1 / np.pi, couplings=(v, 1.0, 0.0),
+                            relax_rates=(1.0, 0.0, 0.0)),))
+
+
+class TestGeneralSweep:
+    @pytest.mark.parametrize("model, grid", [
+        (two_band_demo_model(), np.linspace(5.0, 25.0, 41)),
+        (three_level_model(1.0, -2.0, 0.2, 0.7, 3.0, Gamma_c=0.5),
+         np.linspace(-5.0, 8.0, 27)),
+    ], ids=["two_band_demo", "three_level"])
+    def test_matches_per_point_solver(self, model, grid):
+        rho, pops = general_sweep(model, grid)
+        assert rho.shape == grid.shape + (model.n_levels,) * 2
+        assert pops.shape == grid.shape + (model.n_continua,)
+        for k, om in enumerate(grid):
+            ref = general_steady_state(build_general(model, omega_L=float(om)))
+            assert np.abs(rho[k] - ref.rho).max() < 1e-12
+            assert np.abs(pops[k] - ref.continuum_pops).max() < 1e-12
+
+    def test_degenerate_point_named(self):
+        with pytest.raises(SteadyStateError, match="at sweep point 0"):
+            general_sweep(spectator_model(), [0.0, 1.0])
+
+    def test_continuum_dephasing_notice_once(self, caplog):
+        m = fano_model(FanoParams(0.0, 1.0, 0.1, gamma_kg=0.5))
+        with caplog.at_level(logging.INFO, logger="fanosolve"):
+            general_sweep(m, np.linspace(-3.0, 3.0, 13))
+        assert sum("ignored" in rec.message for rec in caplog.records) == 1
 
 
 class TestTwoBandDemo:

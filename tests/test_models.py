@@ -25,6 +25,15 @@ class TestFanoParams:
         with pytest.raises(ValueError, match="Gamma_e"):
             FanoParams(0.0, 1.0, 0.1, Gamma_e=-1)
 
+    @pytest.mark.parametrize("name", ["epsilon", "q", "Omega", "Gamma_e", "Gamma_cg",
+                                      "Gamma_ce", "gamma_eg", "gamma_kg", "gamma_ke"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, name, value):
+        kw = dict(epsilon=0.0, q=1.0, Omega=0.1)
+        kw[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            FanoParams(**kw)
+
     def test_epsilon_and_q_any_sign(self):
         FanoParams(-3.0, -2.0, 0.0)
 
@@ -76,6 +85,27 @@ class TestValidateModel:
     def test_bad_jump_reference(self):
         m = two_level_model(jumps=((5, 0, 0.1),))
         assert any("missing level" in v for v in validate_model(m))
+
+    @pytest.mark.parametrize("field, kw", [
+        ("energies", dict(energies=(0.0, np.nan))),
+        ("dipole", dict(dipoles=np.array([[0, np.inf], [np.inf, 0]]))),
+        ("density", dict(continua=(Continuum(density=np.nan, couplings=(0.05, 1.0),
+                                             relax_rates=(1.0, 0.0)),))),
+        ("density", dict(continua=(Continuum(density=np.inf, couplings=(0.05, 1.0),
+                                             relax_rates=(1.0, 0.0)),))),
+        ("couplings", dict(continua=(Continuum(density=1.0, couplings=(np.nan, 1.0),
+                                               relax_rates=(1.0, 0.0)),))),
+        ("relax_rates", dict(continua=(Continuum(density=1.0, couplings=(0.05, 1.0),
+                                                 relax_rates=(1.0, np.nan)),))),
+        ("dephase_rates", dict(continua=(Continuum(density=1.0, couplings=(0.05, 1.0),
+                                                   relax_rates=(1.0, 0.0),
+                                                   dephase_rates=(np.inf, 0.0)),))),
+        ("jump", dict(jumps=((1, 0, np.nan),))),
+        ("dephasing", dict(dephasings=((0, 1, np.inf),))),
+    ])
+    def test_non_finite_entries_flagged(self, field, kw):
+        problems = validate_model(two_level_model(**kw))
+        assert any(field in msg and "finite" in msg for msg in problems), problems
 
 
 class TestDensityMatrixP:

@@ -29,6 +29,15 @@ class TestSpec:
             DiscretizationSpec(bandwidth=10.0, levels_per_continuum=2)
         assert DiscretizationSpec(10.0, 11).spacing == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("kw", [dict(bandwidth=np.nan), dict(bandwidth=np.inf),
+                                    dict(grid_offset=np.nan), dict(grid_offset=np.inf)],
+                             ids=["bandwidth-nan", "bandwidth-inf",
+                                  "grid_offset-nan", "grid_offset-inf"])
+    def test_non_finite_rejected(self, kw):
+        args = {"bandwidth": 10.0, "levels_per_continuum": 11, **kw}
+        with pytest.raises(ValueError, match=f"{next(iter(kw))} must be .*finite"):
+            DiscretizationSpec(**args)
+
     def test_dimension_cap(self):
         spec = DiscretizationSpec(bandwidth=10.0, levels_per_continuum=100,
                                   dimension_cap=100)

@@ -8,6 +8,8 @@ from fanosolve.scattering import survival_rate
 
 # exact two-pole confluence: the radicand (2+i)^2 - 2(1+2i) - 1 vanishes
 EP_PARAMS = FanoParams(epsilon=2.0, q=0.0, Omega=1.0)
+# the q = 1 exceptional point: Omega = sqrt(2) - 1, epsilon = 2 sqrt(2) - 2
+EP_Q1 = (2.0 * np.sqrt(2.0) - 2.0, 1.0, np.sqrt(2.0) - 1.0)
 
 
 def random_params(rng, n):
@@ -121,17 +123,43 @@ class TestSurvival:
             s = survival_probability(p, rng.uniform(0, 50))
             assert -1e-12 <= s <= 1 + 1e-9
 
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            survival_probability(FanoParams(0.0, 1.0, 0.1), -1.0)
+    @pytest.mark.parametrize("t", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize("entry", [
+        survival_probability,
+        survival_rate,
+        lambda p, t: ionization_sweep([p.epsilon], [0.0, t], q=p.q, Omega=p.Omega),
+    ], ids=["survival_probability", "survival_rate", "ionization_sweep"])
+    def test_negative_time_rejected(self, entry, t):
+        with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+            entry(FanoParams(0.0, 1.0, 0.1), t)
 
     def test_degenerate_pole_handled(self):
         pd = poles(EP_PARAMS)
         assert pd.degenerate
+        assert np.isnan(pd.a1) and np.isnan(pd.a2)
         h = build_heff(EP_PARAMS)
         for t in (0.5, 2.0, 10.0):
             ref = abs(expm(-1j * h * t)[0, 0]) ** 2
             assert survival_probability(EP_PARAMS, t) == pytest.approx(ref, abs=1e-9)
+
+    @pytest.mark.parametrize("ep", [(2.0, 0.0, 1.0), EP_Q1], ids=["q0", "q1"])
+    def test_exceptional_point_walk_matches_expm(self, ep):
+        # walk onto the confluence, where a two-pole sum divides by omega -> 0
+        eps0, q, Om = ep
+        walk = [eps0 + d for d in (1e-2, 1e-6, 1e-10, 1e-12, 1e-14, 0.0)]
+        ts = np.array([0.5, 2.0, 10.0])
+        swept = ionization_sweep(walk, ts, q=q, Omega=Om)
+        for j, eps in enumerate(walk):
+            p = FanoParams(eps, q, Om)
+            h = build_heff(p)
+            for i, t in enumerate(ts):
+                u = expm(-1j * h * t)
+                u00, du00 = u[0, 0], (-1j * h @ u)[0, 0]
+                ref_s = abs(u00) ** 2
+                ref_rate = 2.0 * np.real(np.conj(u00) * du00)
+                assert abs(survival_probability(p, t) - ref_s) < 1e-12
+                assert abs(survival_rate(p, t) - ref_rate) < 1e-12
+                assert abs(swept[i, j] - (1.0 - ref_s)) < 1e-12
 
     def test_rate_is_derivative(self):
         p = FanoParams(0.4, 1.5, 0.3)
