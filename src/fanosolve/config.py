@@ -151,14 +151,12 @@ def _parse_run(doc: dict) -> RunSpec:
         if isinstance(oracle, dict):
             oracle = [oracle]
         for k, rung in enumerate(oracle):
-            _check_keys(rung, {"bandwidth", "levels_per_continuum", "grid_offset",
-                               "dimension_cap"}, f"run.oracle[{k}]")
+            _check_keys(rung, {"bandwidth", "levels_per_continuum", "grid_offset"},
+                        f"run.oracle[{k}]")
             kwargs = {"bandwidth": float(rung["bandwidth"]),
                       "levels_per_continuum": int(rung["levels_per_continuum"])}
             if "grid_offset" in rung:
                 kwargs["grid_offset"] = float(rung["grid_offset"])
-            if "dimension_cap" in rung:
-                kwargs["dimension_cap"] = int(rung["dimension_cap"])
             ladder.append(DiscretizationSpec(**kwargs))
     return RunSpec(
         observable=str(run.get("observable", "continuum_pop")),

@@ -117,7 +117,7 @@ def build_general(model: GeneralModel, omega_L: float = 0.0) -> GeneralEffective
 def _solve(gen: np.ndarray, gel: GeneralEffectiveLiouvillian):
     """Hermitian steady states and continuum populations of a generator or a stack."""
     n = gel.n_levels
-    x, _ = _stationary_solve(gen, trace_row(n) + gel.C_coeffs.sum(axis=0))
+    x, _ = _stationary_solve(gen, trace_row(n) + gel.C_coeffs.sum(axis=0), trace_row(n))
     rho = unvec(x, n)
     rho = 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
     return rho, np.real(gel.C_coeffs @ vec(rho)[..., None])[..., 0]
@@ -142,11 +142,15 @@ def general_sweep(model: GeneralModel, omegas):
     hamiltonian_superop(-diag(photon_indices))``, so the model is assembled
     once and all points are solved in one call; the results have shapes
     ``omegas.shape + (N, N)`` and ``omegas.shape + (M,)``.  A failing point
-    raises :class:`SteadyStateError` naming its index.
+    raises :class:`SteadyStateError` naming its index; non-finite
+    ``omegas`` raise ``ValueError``.
     """
+    omegas = np.asarray(omegas, dtype=float)
+    if not np.all(np.isfinite(omegas)):
+        raise ValueError("omegas must be finite")
     gel = build_general(model)
     shift = hamiltonian_superop(-np.diag(np.asarray(model.photon_indices, dtype=float)))
-    return _solve(gel.matrix + np.asarray(omegas, dtype=float)[..., None, None] * shift, gel)
+    return _solve(gel.matrix + omegas[..., None, None] * shift, gel)
 
 
 def continuum_coherences(gel: GeneralEffectiveLiouvillian, state: DensityMatrixP,

@@ -130,7 +130,7 @@ def steady_state(p: FanoParams) -> DensityMatrixP:
     the drive switched off.
     """
     eff = build_effective_liouvillian(p)
-    x, _ = _stationary_solve(eff.matrix, trace_row(2) + eff.C)
+    x, _ = _stationary_solve(eff.matrix, trace_row(2) + eff.C, trace_row(2))
     return _as_density(x, float(np.real(eff.C @ x)))
 
 
@@ -198,15 +198,18 @@ def lineshape_sweep(p: FanoParams, epsilons, observable: str = "continuum_pop",
     points, the sweep is least-squares fitted by a rational quadratic and
     decomposed into (Delta, sigma, q, D); fit failure is recorded, not
     raised.  All points are certified and solved in one batched call; a
-    failing point raises :class:`SteadyStateError` naming its index.
+    failing point raises :class:`SteadyStateError` naming its index, and
+    non-finite ``epsilons`` raise ``ValueError``.
     """
     if observable not in _OBSERVABLES:
         raise ValueError(f"observable must be one of {_OBSERVABLES}")
     epsilons = np.asarray(epsilons, dtype=float)
+    if not np.all(np.isfinite(epsilons)):
+        raise ValueError("epsilons must be finite")
     # the detuning enters only the eg and ge diagonals: L(eps) = L(0) + eps D
     eff = build_effective_liouvillian(p.with_epsilon(0.0))
     stack = eff.matrix + epsilons[..., None, None] * np.diag([0.0, -1j, 1j, 0.0])
-    x, _ = _stationary_solve(stack, trace_row(2) + eff.C)
+    x, _ = _stationary_solve(stack, trace_row(2) + eff.C, trace_row(2))
     nc = np.real(x @ eff.C)
     rho_gg = x[..., 0].real
     if observable == "continuum_pop":

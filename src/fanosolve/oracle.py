@@ -28,7 +28,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .models import DensityMatrixP, GeneralModel, validate_model
-from .superop import SteadyStateError, _stationary_solve, trace_row, transport_rate_from
+from .superop import (SteadyStateError, _stationary_solve, hamiltonian_superop, trace_row,
+                      transport_rate_from)
 
 __all__ = [
     "DiscretizationSpec",
@@ -43,6 +44,9 @@ __all__ = [
 
 logger = logging.getLogger("fanosolve")
 
+#: Largest superoperator dimension ``(N + sum M_k)**2`` that is assembled.
+_DIMENSION_CAP = 2_000_000
+
 
 @dataclass(frozen=True)
 class DiscretizationSpec:
@@ -52,14 +56,11 @@ class DiscretizationSpec:
     of M_k levels spanning ``[center - W/2, center + W/2]``;
     ``grid_offset`` shifts the comb by that fraction of a spacing (used to
     check that observables do not depend on where the grid points fall).
-    ``dimension_cap`` bounds the superoperator dimension
-    ``(N + sum M_k)**2``.
     """
 
     bandwidth: float
     levels_per_continuum: int
     grid_offset: float = 0.0
-    dimension_cap: int = 2_000_000
 
     def __post_init__(self):
         if not 0 < self.bandwidth < math.inf:
@@ -108,10 +109,10 @@ def build_full_lindbladian(model: GeneralModel, spec: DiscretizationSpec,
     mk = spec.levels_per_continuum
     ntot = nd + mk * model.n_continua
     dim = ntot * ntot
-    if dim > spec.dimension_cap:
+    if dim > _DIMENSION_CAP:
         est_gb = dim * 16 * 30 / 1e9  # ~30 stored entries per row is typical here
         raise ValueError(
-            f"superoperator dimension {dim} exceeds cap {spec.dimension_cap} "
+            f"superoperator dimension {dim} exceeds cap {_DIMENSION_CAP} "
             f"(estimated memory ~{est_gb:.1f} GB)")
 
     h = np.zeros((ntot, ntot), dtype=complex)
@@ -124,8 +125,7 @@ def build_full_lindbladian(model: GeneralModel, spec: DiscretizationSpec,
     deph_pairs: list[tuple[int, int, float]] = []
     off = nd
     for cont in model.continua:
-        sl = slice(off, off + mk)
-        slices.append(sl)
+        slices.append(slice(off, off + mk))
         de = spec.bandwidth / (mk - 1)
         grid = (cont.center - omega_L * cont.photon_index
                 + np.linspace(-spec.bandwidth / 2, spec.bandwidth / 2, mk)
@@ -133,19 +133,16 @@ def build_full_lindbladian(model: GeneralModel, spec: DiscretizationSpec,
         idx = np.arange(off, off + mk)
         h[idx, idx] = grid
         vd = np.asarray(cont.couplings) * np.sqrt(cont.density * de)
-        for i in range(nd):
-            if vd[i]:
-                h[i, idx] = vd[i]
-                h[idx, i] = vd[i]
+        h[:nd, idx] = vd[:, None]
+        h[idx, :nd] = vd
         for b, gb in enumerate(cont.relax_rates):
             if gb:
                 jump_from.extend(idx.tolist())
                 jump_to.extend([b] * mk)
                 jump_rate.extend([gb] * mk)
-        if cont.dephase_rates is not None:
-            for b, gk in enumerate(cont.dephase_rates):
-                if gk:
-                    deph_pairs.extend((int(k), b, gk) for k in idx)
+        for b, gk in enumerate(cont.dephase_rates or ()):
+            if gk:
+                deph_pairs.extend((int(k), b, gk) for k in idx)
         off += mk
 
     for src, dst, rate in model.jumps:
@@ -155,9 +152,7 @@ def build_full_lindbladian(model: GeneralModel, spec: DiscretizationSpec,
             jump_rate.append(rate)
     deph_pairs.extend(model.dephasings)
 
-    eye = sp.identity(ntot, format="csr")
-    hs = sp.csr_matrix(h)
-    L = -1j * (sp.kron(hs, eye, format="csr") - sp.kron(eye, hs.conj(), format="csr"))
+    L = hamiltonian_superop(h, sparse=True)
 
     # Jump gains: rate at flat (to,to) <- (from,from); losses are diagonal.
     if jump_rate:
@@ -190,10 +185,11 @@ class OracleSolution:
     ``min_eigenvalue`` reports the most negative eigenvalue of the full
     density matrix (small negative values are a finite-discretization
     artifact, tolerated down to -1e-9 and reported rather than hidden);
-    ``kernel_separation`` is the ratio of the two smallest singular values
-    of the eliminated generator (large means a clean one-dimensional
-    kernel; NaN when the eliminated system is too large for the SVD and the
-    check was skipped).
+    ``kernel_separation`` estimates how far the eliminated generator is
+    from a second kernel dimension, in units of ``eps * max|gen|`` (large
+    means a clean one-dimensional kernel; at least 1e6 once accepted).  It
+    is an estimate from the trace-bordered certificate of the shared kernel
+    solve, finite at every size.
     """
 
     rho: np.ndarray
@@ -220,7 +216,8 @@ def oracle_steady_state(fl: FullLindbladian) -> OracleSolution:
     The continuum-continuum block is verified to be diagonal and eliminated
     exactly; the remaining dense system (the Schur complement) goes through
     the certified kernel solve shared by every solver, with the
-    correspondingly eliminated trace row as normalization.  Violations of
+    correspondingly eliminated trace row as normalization; the retained
+    trace ``t[ir]`` is the Schur complement's left null vector.  Violations of
     positivity beyond -1e-9 or a degenerate kernel raise
     :class:`SteadyStateError`.
     """
@@ -245,7 +242,7 @@ def oracle_steady_state(fl: FullLindbladian) -> OracleSolution:
     t_full = trace_row(n)
     t_row = t_full[ir] - (t_full[iq] / dq) @ g_qr
     # flat index 0, the gg population row the shared solve replaces, is ir[0]
-    xr, sep = _stationary_solve(schur, t_row)
+    xr, sep = _stationary_solve(schur, t_row, t_full[ir])
 
     x = np.zeros(n * n, dtype=complex)
     x[ir] = xr

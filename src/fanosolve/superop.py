@@ -22,10 +22,15 @@ the (i, j) coherence pair), both trace annihilating.
 
 Every solver finds its steady state with the same certified kernel solve,
 :func:`_stationary_solve`, and reports the stationary transfer rate through
-:func:`transport_rate_from`.
+:func:`transport_rate_from`.  The kernel is certified one-dimensional the
+same way at every size: the generator bordered with its left null vector
+(the trace row) must be well conditioned, which a solve against a few
+fixed probe columns estimates at the cost of one extra LU factorization.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,10 +47,8 @@ __all__ = [
     "transport_rate_from",
 ]
 
-#: Required ratio of the two smallest singular values for a one-dimensional kernel.
+#: Required kernel separation, in units of ``eps * max|gen|``.
 _KERNEL_SEP = 1e6
-#: Largest generator, in unknowns, whose kernel is certified by a full SVD.
-_SVD_LIMIT = 2000
 
 
 class SteadyStateError(RuntimeError):
@@ -67,12 +70,6 @@ def unvec(x: np.ndarray, n: int) -> np.ndarray:
     return np.swapaxes(np.reshape(x, (*np.shape(x)[:-1], n, n)), -1, -2)
 
 
-def _kron(a, b, sparse: bool):
-    if sparse:
-        return sp.kron(sp.csr_matrix(a), sp.csr_matrix(b), format="csr")
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def hamiltonian_superop(h: np.ndarray, sparse: bool = False):
     """Coherent part ``-i (H (x) 1 - 1 (x) conj(H))`` of the generator.
 
@@ -81,12 +78,15 @@ def hamiltonian_superop(h: np.ndarray, sparse: bool = False):
     must restore for the physical trace bookkeeping to close.
     """
     h = np.asarray(h, dtype=complex)
-    n = h.shape[0]
-    eye = sp.identity(n, format="csr") if sparse else np.eye(n)
-    return -1j * (_kron(h, eye, sparse) - _kron(eye, h.conj(), sparse))
+    if sparse:
+        hs, eye = sp.csr_matrix(h), sp.identity(h.shape[0], format="csr")
+        return -1j * (sp.kron(hs, eye, format="csr")
+                      - sp.kron(eye, hs.conj(), format="csr"))
+    eye = np.eye(h.shape[0])
+    return -1j * (np.kron(h, eye) - np.kron(eye, h.conj()))
 
 
-def jump_superop(c: np.ndarray, rate: float, sparse: bool = False):
+def jump_superop(c: np.ndarray, rate: float):
     """Relaxation generator for a jump operator c at the given rate.
 
     ``rate * (c (x) conj(c) - (1/2)(c^dag c (x) 1 + 1 (x) (c^dag c)^T))`` in
@@ -94,23 +94,19 @@ def jump_superop(c: np.ndarray, rate: float, sparse: bool = False):
     this equals the textbook form.
     """
     c = np.asarray(c, dtype=complex)
-    n = c.shape[0]
     cc = c.conj().T @ c
-    eye = sp.identity(n, format="csr") if sparse else np.eye(n)
-    out = _kron(c, c.conj(), sparse) - 0.5 * (_kron(cc, eye, sparse)
-                                              + _kron(eye, cc.T, sparse))
-    return rate * out
+    eye = np.eye(c.shape[0])
+    return rate * (np.kron(c, c.conj()) - 0.5 * (np.kron(cc, eye) + np.kron(eye, cc.T)))
 
 
-def basis_jump_superop(from_state: int, to_state: int, rate: float, n: int,
-                       sparse: bool = False):
+def basis_jump_superop(from_state: int, to_state: int, rate: float, n: int):
     """Jump ``|to><from|`` between basis states at the given population rate."""
     c = np.zeros((n, n))
     c[to_state, from_state] = 1.0
-    return jump_superop(c, rate, sparse=sparse)
+    return jump_superop(c, rate)
 
 
-def dephasing_superop(i: int, j: int, rate: float, n: int, sparse: bool = False):
+def dephasing_superop(i: int, j: int, rate: float, n: int):
     """Pure decay of the (i, j) and (j, i) coherences at the given rate.
 
     Diagonal generator subtracting ``rate`` from exactly those two flat
@@ -119,14 +115,18 @@ def dephasing_superop(i: int, j: int, rate: float, n: int, sparse: bool = False)
     d = np.zeros(n * n)
     d[flat_index(i, j, n)] = -rate
     d[flat_index(j, i, n)] = -rate
-    return sp.diags(d, format="csr") if sparse else np.diag(d)
+    return np.diag(d)
 
 
 def trace_row(n: int) -> np.ndarray:
     """Row vector extracting the trace from a vectorized density matrix."""
-    row = np.zeros(n * n)
-    row[(np.arange(n)) * n + np.arange(n)] = 1.0
-    return row
+    return np.eye(n).ravel()
+
+
+@functools.lru_cache(maxsize=16)
+def _probes(d: int) -> np.ndarray:
+    """Four fixed, seeded Gaussian probe columns of the kernel certificate."""
+    return np.random.default_rng(0).standard_normal((d, 4))
 
 
 def _first(bad: np.ndarray, batched: bool) -> tuple[int, str]:
@@ -135,27 +135,27 @@ def _first(bad: np.ndarray, batched: bool) -> tuple[int, str]:
     return k, (f" at sweep point {k}" if batched else "")
 
 
-def _stationary_solve(gen: np.ndarray, norm_row: np.ndarray):
+def _stationary_solve(gen: np.ndarray, norm_row: np.ndarray, null_row: np.ndarray):
     """Certified one-dimensional kernel of a trace-annihilating generator.
 
     ``gen`` is one dense generator or a stack of them, shape ``(..., d, d)``;
-    ``norm_row`` (shape ``(d,)``) is the normalization, ``norm_row @ x = 1``.
-    Up to ``_SVD_LIMIT`` unknowns the kernel is certified one-dimensional by
-    the singular values: the two smallest must be ``_KERNEL_SEP`` apart and
-    the second must sit above rounding (``d * eps * s_max``).  Row 0, the
-    gg population row, is redundant (the population rows of a
-    trace-annihilating generator sum to zero), so it is replaced by the
-    normalization and the whole stack solved at once.  The scaled residual
-    ``max|gen x| / (max|gen| max|x|)`` of every point must not exceed 1e-8.
+    ``norm_row @ x = 1`` is the normalization and ``null_row`` the exact
+    left null vector (the trace), both of shape ``(d,)``.  Row 0, the gg
+    population row, is redundant (the population rows sum to zero).  With
+    ``null_row`` scaled to ``max|gen|`` in its place, the matrix B is
+    nonsingular exactly when the kernel is one-dimensional, and at every
+    size ``sqrt(k) / |B^-1 P|_F`` over k fixed probe columns P, which
+    estimates ``1 / |B^-1|_F <= sigma_min(B)``, must reach ``_KERNEL_SEP *
+    eps * max|gen|``.  Row 0 of the same buffer then takes the
+    normalization and the whole stack is solved at once; the scaled
+    residual ``max|gen x| / (max|gen| max|x|)`` must not exceed 1e-8.
 
     Returns ``(x, separation)``: the normalized kernel vectors, shape
-    ``(..., d)``, and the singular-value ratio ``s[-2] / s[-1]`` per point
-    (NaN where the SVD was skipped for size).  Raises
+    ``(..., d)``, and the estimate in units of ``eps * max|gen|``.  Raises
     :class:`SteadyStateError`, naming the first failing point of a stack,
     for non-finite entries, a degenerate kernel or a large residual.
     """
     gen = np.asarray(gen, dtype=complex)
-    d = gen.shape[-1]
     batched = gen.ndim > 2
     scale = np.abs(gen).max(axis=(-2, -1))
     bad = ~np.isfinite(scale)
@@ -163,28 +163,25 @@ def _stationary_solve(gen: np.ndarray, norm_row: np.ndarray):
         k, at = _first(bad, batched)
         raise SteadyStateError(f"generator has non-finite entries{at}")
 
-    sep = np.full(gen.shape[:-2], np.nan)
-    if d <= _SVD_LIMIT:
-        s = np.linalg.svd(gen, compute_uv=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sep = s[..., -2] / s[..., -1]
-        floor = np.maximum(_KERNEL_SEP * s[..., -1], d * np.finfo(float).eps * s[..., 0])
-        bad = s[..., -2] <= floor
-        if np.any(bad):
-            k, at = _first(bad, batched)
-            sk = s.reshape(-1, d)[k]
-            null_dim = int(np.sum(sk <= floor.ravel()[k]))
-            raise SteadyStateError(
-                f"steady state degenerate{at}: kernel dimension {null_dim} > 1 "
-                f"(smallest singular values {sk[-2]:.1e} and {sk[-1]:.1e}; "
-                "relaxation towards a manifold without internal dissipation)")
-
     a = gen.copy()
-    a[..., 0, :] = norm_row
-    rhs = np.zeros(gen.shape[:-1] + (1,), dtype=complex)
-    rhs[..., 0, 0] = 1.0
+    a[..., 0, :] = scale[..., None] * null_row
     try:
-        x = np.linalg.solve(a, rhs)[..., 0]
+        y = np.linalg.solve(a, _probes(gen.shape[-1]))
+        sep = (np.sqrt(y.shape[-1]) / np.linalg.norm(y, axis=(-2, -1))
+               / (np.finfo(float).eps * scale))
+    except np.linalg.LinAlgError:  # exactly singular somewhere in the stack
+        sep = np.where(np.linalg.slogdet(a)[0] == 0, 0.0, np.inf)
+    bad = ~(sep >= _KERNEL_SEP)
+    if np.any(bad):
+        k, at = _first(bad, batched)
+        raise SteadyStateError(
+            f"steady state degenerate{at}: kernel dimension > 1 (separation estimate "
+            f"{sep.ravel()[k]:.1e} below {_KERNEL_SEP:.0e}; relaxation towards a "
+            "manifold without internal dissipation)")
+
+    a[..., 0, :] = norm_row
+    try:
+        x = np.linalg.solve(a, np.eye(len(norm_row), 1))[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SteadyStateError(f"no unique steady state: {exc}") from exc
 

@@ -4,8 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fanosolve import (DensityMatrixP, FanoParams, RationalQuadratic,
-                       SteadyStateError, build_effective_liouvillian)
+from fanosolve import (Continuum, DensityMatrixP, FanoParams, GeneralModel,
+                       RationalQuadratic, SteadyStateError, build_effective_liouvillian)
 from fanosolve.superop import basis_jump_superop, dephasing_superop
 
 
@@ -78,3 +78,24 @@ def steady_state_cramer(p: FanoParams) -> DensityMatrixP:
     vec4, nc = _normalize(vec4, eff.C)
     rho = np.array([[vec4[0], vec4[2]], [vec4[1], vec4[3]]], dtype=complex)
     return DensityMatrixP(0.5 * (rho + rho.conj().T), (nc,))
+
+
+def spectator_model(v: float = 0.1, g: float = 0.0) -> GeneralModel:
+    """Three levels, the third a spectator with no coupling but a jump to 0 at rate g.
+
+    At ``g = 0`` the spectator population is conserved and the kernel is
+    two-dimensional; a small ``g`` separates the kernel only by about g.
+    """
+    dip = np.zeros((3, 3), dtype=complex)
+    dip[0, 1] = dip[1, 0] = v
+    return GeneralModel(
+        energies=(0.0, 0.0, 2.0), photon_indices=(0, 1, 1), dipoles=dip,
+        continua=(Continuum(density=1 / np.pi, couplings=(v, 1.0, 0.0),
+                            relax_rates=(1.0, 0.0, 0.0)),),
+        jumps=((2, 0, g),) if g else ())
+
+
+def svd_gap(gen: np.ndarray) -> float:
+    """Exact kernel separation ``s[-2] / (eps max|gen|)``, the certificate's reference."""
+    s = np.linalg.svd(gen, compute_uv=False)
+    return s[-2] / (np.finfo(float).eps * np.abs(gen).max())

@@ -182,6 +182,13 @@ class TestSteadyCommand:
         doc = json.loads(summ.read_text())
         assert "fit_residual" in doc and doc["fit_residual"] is not None
 
+    def test_non_finite_grid_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "st.csv"
+        assert main(["steady", "--q", "1", "--omega", "0.1", "--eps", "0:nan:3",
+                     "--out", str(out)]) == 1
+        assert "epsilons must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGeneralCommand:
     def test_two_band_config_run(self, tmp_path):
@@ -208,6 +215,14 @@ class TestGeneralCommand:
                    run=RunSpec(output="from_config.csv"))
         assert main(["general", "--config", str(cfg)]) == 0
         assert (tmp_path / "from_config.csv").exists()
+
+    def test_non_finite_grid_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "m.yaml"
+        save_model(two_band_demo_model(), str(cfg), sweep=SweepSpec(float("nan"), 12.0, 3))
+        out = tmp_path / "g.csv"
+        assert main(["general", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "omegas must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDecomposeCommand:

@@ -2,13 +2,14 @@ import logging
 
 import numpy as np
 import pytest
+from helpers import spectator_model, svd_gap
 
 from fanosolve import (Continuum, FanoParams, GeneralModel, SteadyStateError,
                        absorption_rate, build_effective_liouvillian,
                        build_general, continuum_coherences, fano_model,
                        two_band_demo_model, general_steady_state, general_sweep,
                        steady_state, three_level_model, two_continua_model)
-from fanosolve.superop import vec
+from fanosolve.superop import _stationary_solve, trace_row, vec
 
 
 class TestRecipeSpecializations:
@@ -102,7 +103,7 @@ class TestGeneralSteadyState:
     @pytest.mark.parametrize("v", [0.05, 0.1])
     def test_degenerate_kernel_rejected(self, v):
         # at v = 0.05 the two smallest singular values are at rounding level
-        # (one exactly zero), which must not read as infinite separation
+        # (one exactly zero); both couplings leave the bordered matrix singular
         with pytest.raises(SteadyStateError, match="kernel dimension"):
             general_steady_state(build_general(spectator_model(v), omega_L=0.0))
 
@@ -159,14 +160,34 @@ class TestGeneralSteadyState:
         np.testing.assert_allclose(s2.continuum_pops, s1.continuum_pops, atol=1e-13)
 
 
-def spectator_model(v: float = 0.1) -> GeneralModel:
-    """A fully decoupled spectator level leaves a two-dimensional kernel."""
-    dip = np.zeros((3, 3), dtype=complex)
-    dip[0, 1] = dip[1, 0] = v
-    return GeneralModel(
-        energies=(0.0, 0.0, 2.0), photon_indices=(0, 1, 1), dipoles=dip,
-        continua=(Continuum(density=1 / np.pi, couplings=(v, 1.0, 0.0),
-                            relax_rates=(1.0, 0.0, 0.0)),))
+def random_general_model(rng) -> GeneralModel:
+    """Three levels on two continua with random couplings, rates and energies."""
+    dip = rng.uniform(-1, 1, (3, 3))
+    dip = dip + dip.T
+    np.fill_diagonal(dip, 0.0)
+    conts = tuple(Continuum(density=1 / np.pi, couplings=tuple(rng.uniform(-1, 1, 3)),
+                            relax_rates=tuple(rng.uniform(0, 1, 3))) for _ in range(2))
+    return GeneralModel(energies=tuple(rng.uniform(-5, 5, 3)), photon_indices=(0, 1, 1),
+                        dipoles=dip.astype(complex), continua=conts,
+                        jumps=((1, 0, rng.uniform(0, 0.5)), (2, 0, rng.uniform(0, 0.5))))
+
+
+class TestKernelCertificate:
+    def test_estimate_tracks_svd_gap(self):
+        rng = np.random.default_rng(43)
+        models = [random_general_model(rng) for _ in range(200)]
+        models += [spectator_model(0.1, g) for g in (1e-9, 1e-7, 1e-5, 1e-3)]
+        for m in models:
+            gel = build_general(m, omega_L=rng.uniform(-5, 5))
+            row = trace_row(3)
+            _, sep = _stationary_solve(gel.matrix, row + gel.C_coeffs.sum(axis=0), row)
+            assert 0.1 < sep / svd_gap(gel.matrix) < 10
+
+    @pytest.mark.parametrize("g", [1e-12, 1e-11, 1e-10])
+    def test_weakly_relaxing_spectator_rejected(self, g):
+        # the kernel is one-dimensional only by g, within 1e6 rounding units
+        with pytest.raises(SteadyStateError, match="kernel dimension"):
+            general_steady_state(build_general(spectator_model(0.1, g), omega_L=0.0))
 
 
 class TestGeneralSweep:

@@ -2,12 +2,13 @@ import logging
 
 import numpy as np
 import pytest
-from helpers import cramer_system, discrete_dissipator_superop, steady_state_cramer
+from helpers import (cramer_system, discrete_dissipator_superop, steady_state_cramer,
+                     svd_gap)
 
 from fanosolve import (FanoParams, SteadyStateError, absorption_rate,
                        build_effective_liouvillian, lineshape_sweep,
                        steady_state, transport_rate, weak_field_rate)
-from fanosolve.superop import hamiltonian_superop
+from fanosolve.superop import _stationary_solve, hamiltonian_superop, trace_row
 
 
 def random_params(rng, n, beta_lt_1=False):
@@ -133,8 +134,22 @@ class TestSteadyState:
         # no drive and relaxation only into the excited/continuum loop:
         # the ground population decouples and the kernel is two-dimensional
         p = FanoParams(0.0, 1.0, 0.0, Gamma_e=0.0, Gamma_cg=0.0, Gamma_ce=1.0)
-        with pytest.raises(SteadyStateError):
+        with pytest.raises(SteadyStateError, match="kernel dimension"):
             steady_state(p)
+
+    def test_separation_estimate_tracks_svd_gap(self):
+        rng = np.random.default_rng(17)
+        for p in random_params(rng, 500, beta_lt_1=True):
+            eff = build_effective_liouvillian(p)
+            _, sep = _stationary_solve(eff.matrix, trace_row(2) + eff.C, trace_row(2))
+            assert 0.1 < sep / svd_gap(eff.matrix) < 10
+
+    def test_singular_point_of_stack_named(self):
+        good = build_effective_liouvillian(FanoParams(0.0, 1.0, 0.1, Gamma_e=0.1)).matrix
+        dark = build_effective_liouvillian(
+            FanoParams(0.0, 1.0, 0.0, Gamma_cg=0.0, Gamma_ce=1.0)).matrix
+        with pytest.raises(SteadyStateError, match="at sweep point 2: kernel dimension"):
+            _stationary_solve(np.stack([good, good, dark, good]), trace_row(2), trace_row(2))
 
 
 class TestTransport:

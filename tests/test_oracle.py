@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from helpers import spectator_model
 
 from fanosolve import (Continuum, DiscretizationSpec, FanoParams, GeneralModel,
                        SteadyStateError, build_full_lindbladian,
                        build_general, convergence_study, fano_model,
                        general_steady_state, oracle_steady_state, steady_state,
-                       three_level_model, transport_rate, two_band_demo_model)
+                       three_level_model, transport_rate, two_band_demo_model,
+                       two_continua_model)
 from fanosolve.oracle import transport_rate_oracle
 from fanosolve.superop import trace_row, vec
 
@@ -39,8 +41,8 @@ class TestSpec:
             DiscretizationSpec(**args)
 
     def test_dimension_cap(self):
-        spec = DiscretizationSpec(bandwidth=10.0, levels_per_continuum=100,
-                                  dimension_cap=100)
+        # (2 + 1500)**2 > 2e6: refused before anything is allocated
+        spec = DiscretizationSpec(bandwidth=10.0, levels_per_continuum=1500)
         with pytest.raises(ValueError, match="GB"):
             build_full_lindbladian(fano_model(P_REF), spec)
 
@@ -125,8 +127,25 @@ class TestSteadyState:
         # the ground population disconnected
         p = FanoParams(0.0, 1.0, 0.0, Gamma_e=0.0, Gamma_cg=0.0, Gamma_ce=1.0)
         fl = small_fl(p, mk=11, w=10.0)
-        with pytest.raises(SteadyStateError):
+        with pytest.raises(SteadyStateError, match="kernel dimension"):
             oracle_steady_state(fl)
+
+    @pytest.mark.parametrize("mk", [331, 334], ids=["1995-unknowns", "2013-unknowns"])
+    def test_weakly_relaxing_spectator_rejected(self, mk):
+        # the spectator level relaxes at 1e-12: certified the same way on
+        # both sides of 2000 retained unknowns
+        spec = DiscretizationSpec(bandwidth=mk - 1.0, levels_per_continuum=mk)
+        fl = build_full_lindbladian(spectator_model(0.1, 1e-12), spec)
+        with pytest.raises(SteadyStateError, match="kernel dimension"):
+            oracle_steady_state(fl)
+
+    def test_separation_reported_at_every_rung(self):
+        # two levels on two continua: 412, 1212 and 2412 retained unknowns
+        m = two_continua_model(q=1.0, Omega1=0.1, Omega2=0.2, gamma1_sq=0.4,
+                               Gamma_c1=2.0, Gamma_c2=1.5)
+        for mk in (51, 151, 301):
+            fl = build_full_lindbladian(m, DiscretizationSpec(mk - 1.0, mk), 0.3)
+            assert 1e6 < oracle_steady_state(fl).kernel_separation < np.inf
 
     def test_agreement_with_effective_solution(self):
         # W = 100 leaves ~1% of Lorentzian tail outside the band; 2e-2 is
