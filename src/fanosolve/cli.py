@@ -201,7 +201,10 @@ def cmd_oracle(args) -> int:
     _write_csv(args.out, ["bandwidth", "levels", "nc_oracle", "nc_reference",
                           "nc_rel_error", "r_oracle", "r_rel_error"], rows)
     print(f"fitted error order in grid spacing: {study.fitted_order:.3g}; "
-          f"monotone decrease: {study.decreasing}")
+          f"monotone decrease: {study.decreasing}; "
+          f"worst residual {study.residuals.max():.2e}, "
+          f"min eigenvalue {study.min_eigenvalues.min():.2e}, "
+          f"min kernel separation {study.kernel_separations.min():.2e}")
     return 0
 
 

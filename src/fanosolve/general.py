@@ -24,6 +24,7 @@ two-continuum demonstration.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,13 +74,16 @@ def build_general(model: GeneralModel, omega_L: float = 0.0) -> GeneralEffective
 
     ``omega_L`` is the drive frequency; level i is shifted by
     ``-photon_indices[i] * omega_L`` (rotating frame).  Raises
-    ``ValueError`` with the full violation list if the model is invalid.
+    ``ValueError`` with the full violation list if the model is invalid,
+    and names ``omega_L`` if it is not finite.
     Continuum-level pure dephasings are ignored here (wideband) with a
     logged notice; the discretized validator applies them.
     """
     problems = validate_model(model)
     if problems:
         raise ValueError("invalid model: " + "; ".join(problems))
+    if not math.isfinite(omega_L):
+        raise ValueError("omega_L must be finite")
     n = model.n_levels
 
     h0 = np.array(model.dipoles, dtype=complex)

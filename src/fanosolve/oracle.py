@@ -10,16 +10,21 @@ steady state can be compared against the effective (wideband) solution;
 :func:`convergence_study` quantifies the agreement along a refinement
 ladder.
 
-The steady-state solve exploits one structural fact without approximation:
-continuum states never couple to each other, so the continuum-continuum
-block of the sparse generator is diagonal and can be eliminated exactly
-(Schur complement), leaving a small dense kernel problem closed by the
-trace constraint.  The eliminated solver is cross-checked against a plain
-sparse LU with a replaced trace row in the test suite.
+The steady-state solve exploits two structural facts without
+approximation: continuum states couple only to discrete levels (the
+Hamiltonian has an arrow shape) and no jump ends in a continuum state, so
+the continuum-continuum block of the generator is diagonal and can be
+eliminated exactly (Schur complement), leaving a dense kernel problem over
+the coherences and populations with a discrete index, closed by the trace
+constraint.  That retained system is assembled directly from the
+Hamiltonian and the rates; the sparse Kronecker generator
+(:attr:`FullLindbladian.matrix`) is the test reference, cross-checked
+against the eliminated solver and a plain sparse LU in the test suite.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -28,8 +33,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .models import DensityMatrixP, GeneralModel, validate_model
-from .superop import (SteadyStateError, _stationary_solve, hamiltonian_superop, trace_row,
-                      transport_rate_from)
+from .superop import (SteadyStateError, _stationary_solve, hamiltonian_superop,
+                      transport_rate_from, vec)
 
 __all__ = [
     "DiscretizationSpec",
@@ -44,7 +49,7 @@ __all__ = [
 
 logger = logging.getLogger("fanosolve")
 
-#: Largest superoperator dimension ``(N + sum M_k)**2`` that is assembled.
+#: Largest superoperator dimension ``(N + sum M_k)**2`` that is accepted.
 _DIMENSION_CAP = 2_000_000
 
 
@@ -77,40 +82,64 @@ class DiscretizationSpec:
 
 @dataclass(frozen=True)
 class FullLindbladian:
-    """Sparse generator of the discretized model plus basis bookkeeping."""
+    """Discretized model: Hamiltonian, dissipation rates and basis bookkeeping.
 
-    matrix: sp.csr_matrix
+    ``hamiltonian`` is arrow shaped: the discrete block, a diagonal comb per
+    continuum and the couplings between them.  ``gains[t, f]`` is the
+    population jump rate from state f to discrete level t (no jump ends in
+    a continuum state) and ``decay[i, j]`` the decay rate of ``rho[i, j]``:
+    half the summed jump losses of i and j plus pure dephasing.
+    :attr:`matrix`, the sparse Kronecker form of the generator, is built on
+    first use; the steady-state solver never needs it.
+    """
+
     hamiltonian: np.ndarray
+    gains: np.ndarray
+    decay: np.ndarray
     n_discrete: int
     n_total: int
     continuum_slices: tuple[slice, ...]
     total_relax_rates: tuple[float, ...]
 
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """Sparse generator, ``(N + sum M_k)**2`` square, in the flat basis of :mod:`.superop`."""
+        n = self.n_total
+        to, frm = np.nonzero(self.gains)
+        gain = sp.coo_matrix((self.gains[to, frm], (to * n + to, frm * n + frm)),
+                             shape=(n * n, n * n))
+        return (hamiltonian_superop(self.hamiltonian, sparse=True) + gain
+                - sp.diags(vec(self.decay))).tocsr()
+
 
 def build_full_lindbladian(model: GeneralModel, spec: DiscretizationSpec,
                            omega_L: float = 0.0) -> FullLindbladian:
-    """Assemble the exact Lindbladian of the discretized model.
+    """Assemble the Hamiltonian and the Lindblad rates of the discretized model.
 
     The Hamiltonian carries the rotating-frame level energies, the direct
     dipole couplings, the discretized bands and their couplings; population
-    relaxation and pure dephasing enter in Lindblad form.  The result
+    relaxation and pure dephasing enter in Lindblad form.  The generator
     annihilates the trace by construction (checked in tests).  Raises
-    ``ValueError`` when the model is invalid or the superoperator dimension
-    would exceed the cap (the message carries a memory estimate).  A model
-    without relaxation is buildable (the generator is then a pure
-    commutator); its steady state is degenerate and the solver will say so.
+    ``ValueError`` when the model is invalid, ``omega_L`` is not finite or
+    the superoperator dimension would exceed the cap (the message carries a
+    memory estimate).  A model without relaxation is buildable (the
+    generator is then a pure commutator); its steady state is degenerate
+    and the solver will say so.
     """
     problems = [v for v in validate_model(model)
                 if "total relaxation rate is zero" not in v]
     if problems:
         raise ValueError("invalid model: " + "; ".join(problems))
+    if not math.isfinite(omega_L):
+        raise ValueError("omega_L must be finite")
 
     nd = model.n_levels
     mk = spec.levels_per_continuum
     ntot = nd + mk * model.n_continua
     dim = ntot * ntot
     if dim > _DIMENSION_CAP:
-        est_gb = dim * 16 * 30 / 1e9  # ~30 stored entries per row is typical here
+        # the dense retained system, its bordered copy and the LU's copy
+        est_gb = 3 * 16 * (dim - (ntot - nd) ** 2) ** 2 / 1e9
         raise ValueError(
             f"superoperator dimension {dim} exceeds cap {_DIMENSION_CAP} "
             f"(estimated memory ~{est_gb:.1f} GB)")
@@ -119,61 +148,38 @@ def build_full_lindbladian(model: GeneralModel, spec: DiscretizationSpec,
     h[:nd, :nd] = model.dipoles
     h[np.diag_indices(nd)] = np.asarray(model.energies) - omega_L * np.asarray(
         model.photon_indices, dtype=float)
+    gains = np.zeros((nd, ntot))
+    deph = np.zeros((ntot, ntot))
 
     slices = []
-    jump_from, jump_to, jump_rate = [], [], []
-    deph_pairs: list[tuple[int, int, float]] = []
     off = nd
     for cont in model.continua:
-        slices.append(slice(off, off + mk))
+        sl = slice(off, off + mk)
+        slices.append(sl)
         de = spec.bandwidth / (mk - 1)
         grid = (cont.center - omega_L * cont.photon_index
                 + np.linspace(-spec.bandwidth / 2, spec.bandwidth / 2, mk)
                 + spec.grid_offset * de)
-        idx = np.arange(off, off + mk)
-        h[idx, idx] = grid
+        h[sl, sl] = np.diag(grid)
         vd = np.asarray(cont.couplings) * np.sqrt(cont.density * de)
-        h[:nd, idx] = vd[:, None]
-        h[idx, :nd] = vd
-        for b, gb in enumerate(cont.relax_rates):
-            if gb:
-                jump_from.extend(idx.tolist())
-                jump_to.extend([b] * mk)
-                jump_rate.extend([gb] * mk)
-        for b, gk in enumerate(cont.dephase_rates or ()):
-            if gk:
-                deph_pairs.extend((int(k), b, gk) for k in idx)
+        h[:nd, sl] = vd[:, None]
+        h[sl, :nd] = vd
+        gains[:, sl] = np.asarray(cont.relax_rates)[:, None]
+        if cont.dephase_rates is not None:
+            deph[sl, :nd] += cont.dephase_rates
+            deph[:nd, sl] += np.asarray(cont.dephase_rates)[:, None]
         off += mk
 
     for src, dst, rate in model.jumps:
-        if rate:
-            jump_from.append(src)
-            jump_to.append(dst)
-            jump_rate.append(rate)
-    deph_pairs.extend(model.dephasings)
-
-    L = hamiltonian_superop(h, sparse=True)
-
-    # Jump gains: rate at flat (to,to) <- (from,from); losses are diagonal.
-    if jump_rate:
-        jf = np.asarray(jump_from)
-        jt = np.asarray(jump_to)
-        jr = np.asarray(jump_rate, dtype=float)
-        gain = sp.coo_matrix((jr, (jt * ntot + jt, jf * ntot + jf)),
-                             shape=(dim, dim)).tocsr()
-        loss = np.zeros(ntot)
-        np.add.at(loss, jf, jr)
-        L = L + gain - sp.diags(0.5 * np.add.outer(loss, loss).ravel())
-
-    if deph_pairs:
-        d = np.zeros(dim)
-        for i, j, g in deph_pairs:
-            d[j * ntot + i] -= g
-            d[i * ntot + j] -= g
-        L = L + sp.diags(d)
+        gains[dst, src] += rate
+    for i, j, rate in model.dephasings:
+        deph[i, j] += rate
+        deph[j, i] += rate
+    loss = gains.sum(axis=0)
+    decay = 0.5 * np.add.outer(loss, loss) + deph
 
     totals = tuple(float(sum(c.relax_rates)) for c in model.continua)
-    return FullLindbladian(L.tocsr(), h, nd, ntot, tuple(slices), totals)
+    return FullLindbladian(h, gains, decay, nd, ntot, tuple(slices), totals)
 
 
 @dataclass(frozen=True)
@@ -199,62 +205,118 @@ class OracleSolution:
     kernel_separation: float
 
 
-def _schur_parts(fl: FullLindbladian):
-    """Split flat indices into continuum-continuum pairs and the rest."""
-    n = fl.n_total
-    nd = fl.n_discrete
-    s, f = np.divmod(np.arange(n * n), n)
-    in_q = (s >= nd) & (f >= nd)
-    iq = np.flatnonzero(in_q)
-    ir = np.flatnonzero(~in_q)
-    return iq, ir
+def _retained_system(fl: FullLindbladian):
+    """Schur complement and eliminated trace row over the retained unknowns.
+
+    The retained unknowns are every ``rho[i, j]`` with a discrete index, in
+    flat order: first ``rho[:, a]`` for each discrete level a (``N *
+    n_total`` entries), then ``rho[:N, c]`` for each continuum state c.  No
+    jump ends in a continuum state and the comb is diagonal, so the
+    equation of ``rho[c, c']`` involves only itself, at ``dq[c, c'] = -i
+    (h_c'c' - conj h_cc) - decay_cc'``, and ``rho[c, a]``, ``rho[a, c']``
+    through the couplings.  Eliminating it leaves fill-in between each pair
+    of discrete levels that is a rank-one product over ``dq``, written
+    block by block into strided views; population relaxing from continuum
+    state c to level t enters row (t, t) as the eliminated trace of
+    ``rho[c, c]``.  Returns ``(schur, t_row, null_row, dq)``.
+    """
+    h = fl.hamiltonian
+    nd, n = fl.n_discrete, fl.n_total
+    nc, na = n - nd, nd * n
+    hdd, hdc, hcd = h[:nd, :nd], h[:nd, nd:], h[nd:, :nd]
+    comb = np.diag(h)[nd:]
+    dq = -1j * (comb[None, :] - comb.conj()[:, None]) - fl.decay[nd:, nd:]
+    if np.min(np.abs(dq)) == 0:
+        raise SteadyStateError("undamped continuum coherence; steady state not unique")
+    inv = 1.0 / dq
+    relax = fl.gains[:, nd:]
+    dr, mr = np.arange(nd), np.arange(nc)
+
+    schur = np.zeros((na + nc * nd,) * 2, dtype=complex)
+    # views: each block splits its row and column axes without copying
+    saa = schur[:na, :na].reshape(nd, n, nd, n)   # [a, i, a', i']
+    sab = schur[:na, na:].reshape(nd, n, nc, nd)  # [a, i, c', b']
+    sba = schur[na:, :na].reshape(nc, nd, nd, n)  # [c, b, a', i']
+    sbb = schur[na:, na:].reshape(nc, nd, nc, nd)  # [c, b, c', b']
+    diag = schur.reshape(-1)[::schur.shape[0] + 1]
+
+    # the generator on the retained unknowns
+    diag -= np.concatenate([vec(fl.decay[:, :nd]), vec(fl.decay[:nd, nd:])])
+    diag[na:] -= 1j * np.repeat(comb, nd)
+    saa[:, np.arange(n), :, np.arange(n)] -= 1j * hdd
+    for a in range(nd):
+        saa[a, :, a, :] += 1j * h.conj()
+    saa[dr[:, None], dr[:, None], dr, dr] += fl.gains[:, :nd]
+    sab[:, dr, :, dr] -= 1j * hdc
+    sba[:, dr, :, dr] -= 1j * hcd
+    sbb[mr, :, mr, :] += 1j * hdd.conj()
+
+    # fill-in from eliminating rho[c, c']
+    pairs = (hdc.T[:, :, None] * hcd[:, None, :]).reshape(nc, nd * nd)  # [c, (a, b)]
+    saa[:, nd + mr, :, nd + mr] += (inv @ pairs).reshape(nc, nd, nd)
+    sbb[mr, :, mr, :] += (inv.T @ pairs.conj()).reshape(nc, nd, nd)
+    for a in range(nd):
+        for b in range(nd):
+            sab[a, nd:, :, b] -= hcd[:, b, None].conj() * hdc[a] * inv
+            sba[:, a, b, nd:] -= hcd[:, b, None] * hdc[a].conj() * inv.T
+
+    t_row = np.zeros(na + nc * nd, dtype=complex)
+    ta = t_row[:na].reshape(nd, n)
+    tb = t_row[na:].reshape(nc, nd)
+    ta[dr, dr] = 1.0
+    dqd = np.diag(dq)[:, None]
+    ta[:, nd:] = (1j * hcd / dqd).T
+    tb[:] = -1j * hcd.conj() / dqd
+    for t in range(nd):
+        saa[t, t, :, nd:] += relax[t] * ta[:, nd:]
+        sab[t, t] += relax[t][:, None] * tb
+    null_row = np.zeros_like(t_row, dtype=float)
+    null_row[:na].reshape(nd, n)[dr, dr] = 1.0
+    return schur, t_row, null_row, dq
 
 
 def oracle_steady_state(fl: FullLindbladian) -> OracleSolution:
-    """Steady state of the full generator via exact block elimination.
+    """Steady state of the discretized model via exact block elimination.
 
-    The continuum-continuum block is verified to be diagonal and eliminated
-    exactly; the remaining dense system (the Schur complement) goes through
-    the certified kernel solve shared by every solver, with the
-    correspondingly eliminated trace row as normalization; the retained
-    trace ``t[ir]`` is the Schur complement's left null vector.  Violations of
-    positivity beyond -1e-9 or a degenerate kernel raise
-    :class:`SteadyStateError`.
+    The continuum-continuum block is diagonal by construction and is
+    eliminated exactly: the remaining dense system (the Schur complement)
+    and the correspondingly eliminated trace row are assembled directly
+    from the Hamiltonian and the rates, then go through the certified
+    kernel solve shared by every solver; the retained trace is the Schur
+    complement's left null vector.  The eliminated block is rebuilt from
+    the solution, and the residual of the full generator is evaluated on
+    ``rho`` without forming it.  Violations of positivity beyond -1e-9 or a
+    degenerate kernel raise :class:`SteadyStateError`.
     """
-    L = fl.matrix
-    n = fl.n_total
-    iq, ir = _schur_parts(fl)
+    h = fl.hamiltonian
+    nd, n = fl.n_discrete, fl.n_total
+    na = nd * n
+    schur, t_row, null_row, dq = _retained_system(fl)
+    xr, sep = _stationary_solve(schur, t_row, null_row)
 
-    lqq = L[iq][:, iq]
-    off_diag = lqq - sp.diags(lqq.diagonal())
-    if off_diag.nnz:
-        raise SteadyStateError("continuum-continuum block is not diagonal; "
-                               "model outside the eliminable class")
-    dq = lqq.diagonal()
-    if np.min(np.abs(dq)) == 0:
-        raise SteadyStateError("undamped continuum coherence; steady state not unique")
+    r = np.empty((n, n), dtype=complex)
+    r[:, :nd] = xr[:na].reshape(nd, n).T
+    r[:nd, nd:] = xr[na:].reshape(n - nd, nd).T
+    hcd = h[nd:, :nd]
+    r[nd:, nd:] = 1j * (r[nd:, :nd] @ hcd.T - hcd.conj() @ r[:nd, nd:]) / dq
 
-    e_rr = L[ir][:, ir].toarray()
-    f_rq = L[ir][:, iq]
-    g_qr = L[iq][:, ir]
-    schur = e_rr - (f_rq @ (sp.diags(1.0 / dq) @ g_qr)).toarray()
-
-    t_full = trace_row(n)
-    t_row = t_full[ir] - (t_full[iq] / dq) @ g_qr
-    # flat index 0, the gg population row the shared solve replaces, is ir[0]
-    xr, sep = _stationary_solve(schur, t_row, t_full[ir])
-
-    x = np.zeros(n * n, dtype=complex)
-    x[ir] = xr
-    x[iq] = -(g_qr @ xr) / dq
-    # the shared solve checked the Schur residual; this also covers x[iq]
-    scale = max(np.abs(L.data).max(), 1.0)
-    residual = float(np.max(np.abs(L @ x)) / scale)
+    # the shared solve checked the Schur residual; this also covers rho[c, c']
+    hs = sp.csr_array(h)
+    lr = -1j * ((hs @ r.T).T - hs.conj() @ r) - fl.decay * r
+    lr[np.diag_indices(nd)] += fl.gains @ np.diag(r)
+    # scale: the largest generator entry (diagonal, Hamiltonian, jump gains)
+    hd = np.diag(h)
+    entries = -1j * (hd[None, :] - hd.conj()[:, None]) - fl.decay
+    entries[np.diag_indices(nd)] += np.diag(fl.gains)
+    off_gains = fl.gains.copy()
+    off_gains[np.diag_indices(nd)] = 0.0
+    scale = max(np.abs(entries).max(), np.abs(h - np.diag(hd)).max(),
+                off_gains.max(), 1.0)
+    residual = float(np.max(np.abs(lr)) / scale)
     if not np.isfinite(residual) or residual > 1e-8:
         raise SteadyStateError(f"steady-state residual {residual:.2e}")
 
-    rho = x.reshape(n, n).T
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = 0.5 * (r + r.conj().T)
     rho /= np.real(np.trace(rho))
     evals = np.linalg.eigvalsh(rho)
     min_eig = float(evals[0])
@@ -264,7 +326,6 @@ def oracle_steady_state(fl: FullLindbladian) -> OracleSolution:
         logger.info("oracle steady state has small negative eigenvalue %.2e "
                     "(finite-discretization artifact)", min_eig)
 
-    nd = fl.n_discrete
     pops = tuple(float(np.real(np.trace(rho[sl, sl]))) for sl in fl.continuum_slices)
     reduced = DensityMatrixP(rho[:nd, :nd], pops)
     return OracleSolution(rho, reduced, residual, min_eig, float(sep))
@@ -278,7 +339,11 @@ def transport_rate_oracle(fl: FullLindbladian, sol: OracleSolution) -> float:
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
-    """Error of the effective solution against the discretized one per rung."""
+    """Error of the effective solution against the discretized one per rung.
+
+    ``residuals``, ``min_eigenvalues`` and ``kernel_separations`` are the
+    solve diagnostics of each rung (see :class:`OracleSolution`).
+    """
 
     bandwidths: np.ndarray
     levels: np.ndarray
@@ -287,6 +352,9 @@ class ConvergenceStudy:
     r_oracle: np.ndarray
     r_reference: float
     fitted_order: float
+    residuals: np.ndarray
+    min_eigenvalues: np.ndarray
+    kernel_separations: np.ndarray
 
     @property
     def nc_errors(self) -> np.ndarray:
@@ -317,7 +385,7 @@ def convergence_study(model: GeneralModel, specs, omega_L: float,
     specs = list(specs)
     if len(specs) < 1:
         raise ValueError("need at least one discretization spec")
-    ws, mks, ncs, rs = [], [], [], []
+    ws, mks, ncs, rs, diags = [], [], [], [], []
     for spec in specs:
         fl = build_full_lindbladian(model, spec, omega_L)
         sol = oracle_steady_state(fl)
@@ -325,6 +393,7 @@ def convergence_study(model: GeneralModel, specs, omega_L: float,
         mks.append(spec.levels_per_continuum)
         ncs.append(float(np.sum(sol.reduced.continuum_pops)))
         rs.append(transport_rate_oracle(fl, sol))
+        diags.append((sol.residual, sol.min_eigenvalue, sol.kernel_separation))
 
     ncs = np.asarray(ncs)
     errs = np.abs(ncs - nc_reference) / abs(nc_reference)
@@ -339,4 +408,5 @@ def convergence_study(model: GeneralModel, specs, omega_L: float,
         elif np.any(np.diff(widths) != 0):
             order = float(np.polyfit(np.log(1.0 / widths), np.log(errs), 1)[0])
     return ConvergenceStudy(np.asarray(ws, dtype=float), np.asarray(mks),
-                            ncs, nc_reference, np.asarray(rs), r_reference, order)
+                            ncs, nc_reference, np.asarray(rs), r_reference, order,
+                            *np.array(diags).T)

@@ -24,8 +24,11 @@ Every solver finds its steady state with the same certified kernel solve,
 :func:`_stationary_solve`, and reports the stationary transfer rate through
 :func:`transport_rate_from`.  The kernel is certified one-dimensional the
 same way at every size: the generator bordered with its left null vector
-(the trace row) must be well conditioned, which a solve against a few
-fixed probe columns estimates at the cost of one extra LU factorization.
+(the trace row) must be well conditioned.  One LU factorization, of the
+generator bordered with the normalization, serves both the steady state
+and the certificate: a few fixed probe columns ride along with the
+normalization right-hand side, and a rank-one (Sherman-Morrison) update
+carries their solution over to the trace-bordered matrix.
 """
 
 from __future__ import annotations
@@ -135,25 +138,43 @@ def _first(bad: np.ndarray, batched: bool) -> tuple[int, str]:
     return k, (f" at sweep point {k}" if batched else "")
 
 
+def _reject_degenerate(sep: np.ndarray, batched: bool) -> None:
+    """Raise for the first point whose kernel separation misses ``_KERNEL_SEP``."""
+    bad = ~(sep >= _KERNEL_SEP)
+    if np.any(bad):
+        k, at = _first(bad, batched)
+        raise SteadyStateError(
+            f"steady state degenerate{at}: kernel dimension > 1 (separation estimate "
+            f"{sep.ravel()[k]:.1e} below {_KERNEL_SEP:.0e}; relaxation towards a "
+            "manifold without internal dissipation)")
+
+
 def _stationary_solve(gen: np.ndarray, norm_row: np.ndarray, null_row: np.ndarray):
     """Certified one-dimensional kernel of a trace-annihilating generator.
 
     ``gen`` is one dense generator or a stack of them, shape ``(..., d, d)``;
     ``norm_row @ x = 1`` is the normalization and ``null_row`` the exact
     left null vector (the trace), both of shape ``(d,)``.  Row 0, the gg
-    population row, is redundant (the population rows sum to zero).  With
-    ``null_row`` scaled to ``max|gen|`` in its place, the matrix B is
-    nonsingular exactly when the kernel is one-dimensional, and at every
-    size ``sqrt(k) / |B^-1 P|_F`` over k fixed probe columns P, which
-    estimates ``1 / |B^-1|_F <= sigma_min(B)``, must reach ``_KERNEL_SEP *
-    eps * max|gen|``.  Row 0 of the same buffer then takes the
-    normalization and the whole stack is solved at once; the scaled
+    population row, is redundant (the population rows sum to zero), so
+    ``B_norm``, the generator with ``norm_row`` in row 0, is factorized
+    once and solved against ``[e0 | P]`` for k fixed probe columns P;
+    column 0 is the steady state x.  The certificate bounds the
+    trace-bordered matrix ``B_null`` (``null_row`` scaled to ``max|gen|``
+    in row 0), which is nonsingular exactly when the kernel is
+    one-dimensional.  As ``B_null = B_norm + e0 v^T`` with ``v = max|gen|
+    null_row - norm_row``, Sherman-Morrison gives ``B_null^-1 P = Z - x
+    (v.Z) / (1 + v.x)`` from ``Z = B_norm^-1 P``, and ``sqrt(k) /
+    |B_null^-1 P|_F``, an estimate of ``1 / |B_null^-1|_F <=
+    sigma_min(B_null)``, must reach ``_KERNEL_SEP * eps * max|gen|`` (a
+    non-finite estimate counts as 0).  The normalization must not cancel
+    on the kernel, ``1 / (|norm_row| . |x|) >= 1e-8``, and the scaled
     residual ``max|gen x| / (max|gen| max|x|)`` must not exceed 1e-8.
 
     Returns ``(x, separation)``: the normalized kernel vectors, shape
     ``(..., d)``, and the estimate in units of ``eps * max|gen|``.  Raises
     :class:`SteadyStateError`, naming the first failing point of a stack,
-    for non-finite entries, a degenerate kernel or a large residual.
+    for non-finite entries, a degenerate kernel, a normalization that
+    vanishes on the kernel or a large residual.
     """
     gen = np.asarray(gen, dtype=complex)
     batched = gen.ndim > 2
@@ -163,29 +184,36 @@ def _stationary_solve(gen: np.ndarray, norm_row: np.ndarray, null_row: np.ndarra
         k, at = _first(bad, batched)
         raise SteadyStateError(f"generator has non-finite entries{at}")
 
+    d = gen.shape[-1]
     a = gen.copy()
-    a[..., 0, :] = scale[..., None] * null_row
-    try:
-        y = np.linalg.solve(a, _probes(gen.shape[-1]))
-        sep = (np.sqrt(y.shape[-1]) / np.linalg.norm(y, axis=(-2, -1))
-               / (np.finfo(float).eps * scale))
-    except np.linalg.LinAlgError:  # exactly singular somewhere in the stack
-        sep = np.where(np.linalg.slogdet(a)[0] == 0, 0.0, np.inf)
-    bad = ~(sep >= _KERNEL_SEP)
-    if np.any(bad):
-        k, at = _first(bad, batched)
-        raise SteadyStateError(
-            f"steady state degenerate{at}: kernel dimension > 1 (separation estimate "
-            f"{sep.ravel()[k]:.1e} below {_KERNEL_SEP:.0e}; relaxation towards a "
-            "manifold without internal dissipation)")
-
     a[..., 0, :] = norm_row
+    v = scale[..., None] * null_row - norm_row
     try:
-        x = np.linalg.solve(a, np.eye(len(norm_row), 1))[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SteadyStateError(f"no unique steady state: {exc}") from exc
+        s = np.linalg.solve(a, np.concatenate([np.eye(d, 1), _probes(d)], axis=1))
+    except np.linalg.LinAlgError:  # exactly singular somewhere in the stack
+        singular = np.linalg.slogdet(a)[0] == 0
+        a[..., 0, :] += v  # now B_null
+        _reject_degenerate(np.where(np.linalg.slogdet(a)[0] == 0, 0.0, np.inf), batched)
+        k, at = _first(singular, batched)
+        raise SteadyStateError(f"no unique steady state{at}: "
+                               "normalization vanishes on the kernel") from None
+    x, z = s[..., 0], s[..., 1:]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vx = np.sum(v * x, axis=-1)[..., None, None]
+        y = z - x[..., None] * ((v[..., None, :] @ z) / (1.0 + vx))
+        sep = (np.sqrt(z.shape[-1]) / np.linalg.norm(y, axis=(-2, -1))
+               / (np.finfo(float).eps * scale))
+        sep = np.where(np.isfinite(sep), sep, 0.0)
+        _reject_degenerate(sep, batched)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+        weight = 1.0 / (np.abs(x) @ np.abs(norm_row))
+        bad = ~(weight >= 1e-8)
+        if np.any(bad):
+            k, at = _first(bad, batched)
+            raise SteadyStateError(
+                f"no unique steady state{at}: normalization vanishes on the kernel "
+                f"(weight {weight.ravel()[k]:.1e} below 1e-08)")
+
         resid = (np.abs(gen @ x[..., None])[..., 0].max(axis=-1)
                  / (scale * np.abs(x).max(axis=-1)))
     bad = ~(resid <= 1e-8)

@@ -3,10 +3,11 @@
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from fanosolve import (Continuum, DensityMatrixP, FanoParams, GeneralModel,
                        RationalQuadratic, SteadyStateError, build_effective_liouvillian)
-from fanosolve.superop import basis_jump_superop, dephasing_superop
+from fanosolve.superop import _probes, basis_jump_superop, dephasing_superop, trace_row
 
 
 def random_rq(rng):
@@ -99,3 +100,50 @@ def svd_gap(gen: np.ndarray) -> float:
     """Exact kernel separation ``s[-2] / (eps max|gen|)``, the certificate's reference."""
     s = np.linalg.svd(gen, compute_uv=False)
     return s[-2] / (np.finfo(float).eps * np.abs(gen).max())
+
+
+def two_lu_separation(gen: np.ndarray, null_row: np.ndarray) -> float:
+    """Kernel separation from an LU of the trace-bordered matrix of its own.
+
+    ``sqrt(k) / |B_null^-1 P|_F`` in units of ``eps max|gen|``, with
+    ``B_null`` (``null_row`` scaled to ``max|gen|`` in row 0) factorized
+    separately; the reference for the solver's rank-one update.
+    """
+    gen = np.asarray(gen, dtype=complex)
+    scale = np.abs(gen).max()
+    b = gen.copy()
+    b[0] = scale * null_row
+    y = np.linalg.solve(b, _probes(gen.shape[-1]))
+    return np.sqrt(y.shape[-1]) / np.linalg.norm(y) / (np.finfo(float).eps * scale)
+
+
+def kronecker_elimination(fl):
+    """Schur complement, eliminated trace row and retained trace of ``fl.matrix``.
+
+    The reference for the oracle's direct assembly: every flat index whose
+    ket and bra are both continuum states is eliminated through the
+    diagonal block of the sparse Kronecker generator.
+    """
+    L = fl.matrix
+    n, nd = fl.n_total, fl.n_discrete
+    bra, ket = np.divmod(np.arange(n * n), n)
+    in_q = (bra >= nd) & (ket >= nd)
+    iq, ir = np.flatnonzero(in_q), np.flatnonzero(~in_q)
+    lqq = L[iq][:, iq]
+    assert (lqq - sp.diags(lqq.diagonal())).count_nonzero() == 0
+    dq = lqq.diagonal()
+    g = L[iq][:, ir]
+    schur = L[ir][:, ir].toarray() - (L[ir][:, iq] @ (sp.diags(1.0 / dq) @ g)).toarray()
+    t = trace_row(n)
+    return schur, t[ir] - (t[iq] / dq) @ g, t[ir]
+
+
+def splu_steady_state(fl) -> np.ndarray:
+    """Hermitian steady state of ``fl.matrix`` by sparse LU with the trace in row 0."""
+    n = fl.n_total
+    L = fl.matrix.tolil()
+    L[0] = trace_row(n)
+    rhs = np.zeros(n * n, dtype=complex)
+    rhs[0] = 1.0
+    rho = sp.linalg.splu(L.tocsc()).solve(rhs).reshape(n, n).T
+    return 0.5 * (rho + rho.conj().T)

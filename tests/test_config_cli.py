@@ -254,7 +254,18 @@ class TestOracleCommand:
         lines = out.read_text().splitlines()
         assert lines[1].split(",")[0] == "bandwidth"
         assert len(lines) == 4
-        assert "fitted error order" in capsys.readouterr().out
+        stdout = capsys.readouterr().out
+        assert "fitted error order" in stdout
+        assert "worst residual" in stdout and "min kernel separation" in stdout
+
+    def test_non_finite_omega_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "m.yaml"
+        save_model(two_band_demo_model(), str(cfg), sweep=SweepSpec(float("nan"), 1.0, 1),
+                   run=RunSpec(oracle=(DiscretizationSpec(25.0, 26),)))
+        out = tmp_path / "conv.csv"
+        assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "omega_L must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_ladder_errors(self, tmp_path):
         cfg = tmp_path / "m.yaml"

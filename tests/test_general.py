@@ -2,7 +2,7 @@ import logging
 
 import numpy as np
 import pytest
-from helpers import spectator_model, svd_gap
+from helpers import spectator_model, svd_gap, two_lu_separation
 
 from fanosolve import (Continuum, FanoParams, GeneralModel, SteadyStateError,
                        absorption_rate, build_effective_liouvillian,
@@ -172,6 +172,12 @@ def random_general_model(rng) -> GeneralModel:
                         jumps=((1, 0, rng.uniform(0, 0.5)), (2, 0, rng.uniform(0, 0.5))))
 
 
+@pytest.mark.parametrize("omega_L", [np.nan, np.inf])
+def test_non_finite_omega_rejected(omega_L):
+    with pytest.raises(ValueError, match="omega_L must be finite"):
+        build_general(two_band_demo_model(), omega_L=omega_L)
+
+
 class TestKernelCertificate:
     def test_estimate_tracks_svd_gap(self):
         rng = np.random.default_rng(43)
@@ -182,6 +188,22 @@ class TestKernelCertificate:
             row = trace_row(3)
             _, sep = _stationary_solve(gel.matrix, row + gel.C_coeffs.sum(axis=0), row)
             assert 0.1 < sep / svd_gap(gel.matrix) < 10
+
+    def test_one_lu_certificate_matches_two_lu(self):
+        rng = np.random.default_rng(44)
+        row = trace_row(3)
+        for _ in range(200):
+            gel = build_general(random_general_model(rng), omega_L=rng.uniform(-5, 5))
+            _, sep = _stationary_solve(gel.matrix, row + gel.C_coeffs.sum(axis=0), row)
+            assert sep == pytest.approx(two_lu_separation(gel.matrix, row), rel=1e-2)
+
+    def test_vanishing_normalization_named(self):
+        gel = build_general(two_band_demo_model(), omega_L=10.35)
+        row = trace_row(3)
+        x, _ = _stationary_solve(gel.matrix, row, row)
+        norm = gel.C_coeffs[0] - (gel.C_coeffs[0] @ x) * row
+        with pytest.raises(SteadyStateError, match="normalization vanishes on the kernel"):
+            _stationary_solve(gel.matrix, norm, row)
 
     @pytest.mark.parametrize("g", [1e-12, 1e-11, 1e-10])
     def test_weakly_relaxing_spectator_rejected(self, g):

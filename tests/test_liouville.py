@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 from helpers import (cramer_system, discrete_dissipator_superop, steady_state_cramer,
-                     svd_gap)
+                     svd_gap, two_lu_separation)
 
 from fanosolve import (FanoParams, SteadyStateError, absorption_rate,
                        build_effective_liouvillian, lineshape_sweep,
@@ -143,6 +143,25 @@ class TestSteadyState:
             eff = build_effective_liouvillian(p)
             _, sep = _stationary_solve(eff.matrix, trace_row(2) + eff.C, trace_row(2))
             assert 0.1 < sep / svd_gap(eff.matrix) < 10
+
+    def test_one_lu_certificate_matches_two_lu(self):
+        rng = np.random.default_rng(18)
+        params = list(random_params(rng, 300, beta_lt_1=True))
+        params.append(FanoParams(0.0, 1.0, 1e7, Gamma_cg=0.0, Gamma_ce=1.0))  # saturated
+        for p in params:
+            eff = build_effective_liouvillian(p)
+            _, sep = _stationary_solve(eff.matrix, trace_row(2) + eff.C, trace_row(2))
+            assert sep == pytest.approx(two_lu_separation(eff.matrix, trace_row(2)), rel=1e-2)
+
+    @pytest.mark.parametrize("row", [np.array([1.0, 0.3, 0.3, -1.0]), np.zeros(4)],
+                             ids=["orthogonal", "zero"])
+    def test_vanishing_normalization_named(self, row):
+        # a normalization row that vanishes on the kernel leaves the
+        # trace-bordered certificate clean but the normalized solve singular
+        L = build_effective_liouvillian(FanoParams(0.3, 1.2, 0.2, Gamma_e=0.1)).matrix
+        x, _ = _stationary_solve(L, trace_row(2), trace_row(2))
+        with pytest.raises(SteadyStateError, match="normalization vanishes on the kernel"):
+            _stationary_solve(L, row - (row @ x) * trace_row(2), trace_row(2))
 
     def test_singular_point_of_stack_named(self):
         good = build_effective_liouvillian(FanoParams(0.0, 1.0, 0.1, Gamma_e=0.1)).matrix

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from helpers import spectator_model
+from helpers import (kronecker_elimination, spectator_model, splu_steady_state, svd_gap,
+                     two_lu_separation)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanosolve import (Continuum, DiscretizationSpec, FanoParams, GeneralModel,
                        SteadyStateError, build_full_lindbladian,
@@ -9,8 +12,8 @@ from fanosolve import (Continuum, DiscretizationSpec, FanoParams, GeneralModel,
                        general_steady_state, oracle_steady_state, steady_state,
                        three_level_model, transport_rate, two_band_demo_model,
                        two_continua_model)
-from fanosolve.oracle import transport_rate_oracle
-from fanosolve.superop import trace_row, vec
+from fanosolve.oracle import _retained_system, transport_rate_oracle
+from fanosolve.superop import _stationary_solve, trace_row, vec
 
 # reference single-resonance parameters; Gamma_c = 2 keeps the level spacing
 # of the coarse grids well inside the continuum linewidth
@@ -39,6 +42,12 @@ class TestSpec:
         args = {"bandwidth": 10.0, "levels_per_continuum": 11, **kw}
         with pytest.raises(ValueError, match=f"{next(iter(kw))} must be .*finite"):
             DiscretizationSpec(**args)
+
+    @pytest.mark.parametrize("omega_L", [np.nan, np.inf])
+    def test_non_finite_omega_rejected(self, omega_L):
+        spec = DiscretizationSpec(bandwidth=10.0, levels_per_continuum=11)
+        with pytest.raises(ValueError, match="omega_L must be finite"):
+            build_full_lindbladian(fano_model(P_REF), spec, omega_L)
 
     def test_dimension_cap(self):
         # (2 + 1500)**2 > 2e6: refused before anything is allocated
@@ -90,6 +99,64 @@ class TestGenerator:
         vd = np.sqrt(de / np.pi)
         assert h[1, 2] == pytest.approx(vd)          # excited-band coupling
         assert h[0, 2] == pytest.approx(P_REF.Omega * vd)  # drive to the band
+
+
+@st.composite
+def discretized_models(draw):
+    """Random N <= 3, M <= 2 models with every kind of channel, plus a grid and a drive."""
+    nd = draw(st.integers(1, 3))
+    rate = st.floats(0.0, 1.0)
+    coupling = st.floats(0.1, 1.0).flatmap(lambda v: st.sampled_from([v, -v]))
+    dip = np.zeros((nd, nd), dtype=complex)
+    for i in range(nd):
+        for j in range(i):
+            dip[i, j] = complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
+            dip[j, i] = np.conj(dip[i, j])
+    continua = tuple(
+        Continuum(density=draw(st.floats(0.1, 1.0)),
+                  couplings=[draw(coupling) for _ in range(nd)],
+                  relax_rates=[draw(st.floats(0.2, 2.0))] + [draw(rate) for _ in range(nd - 1)],
+                  dephase_rates=draw(st.none() | st.lists(rate, min_size=nd, max_size=nd)),
+                  center=draw(st.floats(-3, 3)), photon_index=draw(st.integers(0, 2)))
+        for _ in range(draw(st.integers(1, 2))))
+    pairs = [(i, j) for i in range(nd) for j in range(nd) if i != j]
+    channels = st.lists(st.sampled_from(pairs), max_size=4) if pairs else st.just([])
+    model = GeneralModel(
+        energies=[1.5 * i + draw(st.floats(-0.5, 0.5)) for i in range(nd)],
+        photon_indices=[draw(st.integers(0, 2)) for _ in range(nd)], dipoles=dip,
+        continua=continua,
+        jumps=[(i, j, draw(rate)) for i, j in draw(channels)],
+        dephasings=[(i, j, draw(rate)) for i, j in draw(channels)])
+    spec = DiscretizationSpec(bandwidth=draw(st.floats(4.0, 20.0)),
+                              levels_per_continuum=draw(st.integers(5, 9)),
+                              grid_offset=draw(st.floats(-0.5, 0.5)))
+    return build_full_lindbladian(model, spec, omega_L=draw(st.floats(-3, 3)))
+
+
+class TestDirectAssembly:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(fl=discretized_models())
+    def test_matches_kronecker_elimination(self, fl):
+        schur, t_row, null_row, _ = _retained_system(fl)
+        ref_schur, ref_t, ref_null = kronecker_elimination(fl)
+        assert np.abs(schur - ref_schur).max() <= 1e-13 * np.abs(ref_schur).max()
+        assert np.abs(t_row - ref_t).max() <= 1e-13 * np.abs(ref_t).max()
+        assert np.array_equal(null_row, ref_null)
+        try:
+            sol = oracle_steady_state(fl)
+        except SteadyStateError as exc:
+            if "not positive" in str(exc):
+                # pairwise dephasing rates need not form a completely positive map
+                assert np.linalg.eigvalsh(splu_steady_state(fl))[0] < -1e-9
+            else:  # a dark superposition of levels degenerate in the rotating frame
+                assert svd_gap(ref_schur) < 1e7
+        else:
+            assert np.abs(sol.rho - splu_steady_state(fl)).max() < 1e-12
+
+    def test_sparse_generator_not_built(self):
+        fl = small_fl(mk=11, w=10.0)
+        oracle_steady_state(fl)
+        assert "matrix" not in vars(fl)
 
 
 class TestSteadyState:
@@ -146,6 +213,15 @@ class TestSteadyState:
         for mk in (51, 151, 301):
             fl = build_full_lindbladian(m, DiscretizationSpec(mk - 1.0, mk), 0.3)
             assert 1e6 < oracle_steady_state(fl).kernel_separation < np.inf
+
+    @pytest.mark.parametrize("mk", [51, 151, 301])
+    def test_one_lu_certificate_matches_two_lu(self, mk):
+        m = two_continua_model(q=1.0, Omega1=0.1, Omega2=0.2, gamma1_sq=0.4,
+                               Gamma_c1=2.0, Gamma_c2=1.5)
+        fl = build_full_lindbladian(m, DiscretizationSpec(mk - 1.0, mk), 0.3)
+        schur, t_row, null_row, _ = _retained_system(fl)
+        _, sep = _stationary_solve(schur, t_row, null_row)
+        assert sep == pytest.approx(two_lu_separation(schur, null_row), rel=1e-2)
 
     def test_agreement_with_effective_solution(self):
         # W = 100 leaves ~1% of Lorentzian tail outside the band; 2e-2 is
@@ -228,6 +304,17 @@ class TestConvergence:
         assert study.decreasing
         assert study.nc_errors[-1] < 2e-2
         assert np.isfinite(study.fitted_order) or len(ladder) < 2
+
+    def test_diagnostics_kept_per_rung(self):
+        ladder = [DiscretizationSpec(25.0, 26), DiscretizationSpec(50.0, 51)]
+        model = fano_model(P_REF)
+        study = convergence_study(model, ladder, P_REF.epsilon, 0.1, 0.1)
+        for k, spec in enumerate(ladder):
+            sol = oracle_steady_state(build_full_lindbladian(model, spec, P_REF.epsilon))
+            assert study.residuals[k] == pytest.approx(sol.residual, rel=1e-6)
+            assert study.min_eigenvalues[k] == pytest.approx(sol.min_eigenvalue, abs=1e-14)
+            assert study.kernel_separations[k] == pytest.approx(sol.kernel_separation, rel=1e-6)
+        assert study.residuals.shape == study.kernel_separations.shape == (2,)
 
     def test_three_level_model_agreement(self):
         model = three_level_model(q1=1.5, q2=0.8, Omega=0.1, beta=1.25,
