@@ -54,20 +54,27 @@ def _write_csv(path, header: list[str], rows) -> None:
             fh.write(text)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"values must be finite, got {text!r}")
+    return value
+
+
 def _parse_grid(text: str) -> np.ndarray:
     """Parse 'start:stop:npoints' into a uniform grid."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
             f"expected start:stop:npoints, got {text!r}")
-    start, stop, npts = float(parts[0]), float(parts[1]), int(parts[2])
+    start, stop, npts = _finite(parts[0]), _finite(parts[1]), int(parts[2])
     if npts < 1:
         raise argparse.ArgumentTypeError("npoints must be at least 1")
     return np.linspace(start, stop, npts)
 
 
 def _parse_list(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",")])
+    return np.array([_finite(v) for v in text.split(",")])
 
 
 def _fano_params(args) -> FanoParams:
@@ -131,9 +138,6 @@ def cmd_steady(args) -> int:
 
 def cmd_general(args) -> int:
     cfg = load_config(args.config)
-    if cfg.run.observable != "continuum_pop":
-        raise SystemExit(f"general emits continuum populations; "
-                         f"run.observable {cfg.run.observable!r} is not supported")
     model = cfg.model
     grid = cfg.sweep.grid()
     labels = [c.label or str(a) for a, c in enumerate(model.continua)]

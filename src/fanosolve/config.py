@@ -3,7 +3,7 @@
 A configuration file has the sections ``units`` (free-text statement of
 which coupling defines the reference width), ``levels``, ``dipoles``,
 ``continua``, ``dissipators``, ``field`` (the drive frequency or a sweep of
-it) and ``run`` (observable, output path, optional discretization ladder).
+it) and ``run`` (output path, optional discretization ladder).
 Unknown keys anywhere are rejected so typos cannot silently change a model.
 Saving and re-loading a model reproduces every finite float bit-exactly.
 """
@@ -40,7 +40,6 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class RunSpec:
-    observable: str = "continuum_pop"
     output: str | None = None
     oracle: tuple[DiscretizationSpec, ...] = ()
 
@@ -136,15 +135,19 @@ def _parse_field(doc: dict) -> SweepSpec:
     om = fld.get("omega_L")
     if isinstance(om, dict):
         _check_keys(om, {"start", "stop", "points"}, "field.omega_L")
-        return SweepSpec(float(om["start"]), float(om["stop"]), int(om["points"]))
-    if isinstance(om, (int, float)):
-        return SweepSpec(float(om), float(om), 1)
-    raise ConfigError("field.omega_L must be a number or {start, stop, points}")
+        sweep = SweepSpec(float(om["start"]), float(om["stop"]), int(om["points"]))
+    elif isinstance(om, (int, float)):
+        sweep = SweepSpec(float(om), float(om), 1)
+    else:
+        raise ConfigError("field.omega_L must be a number or {start, stop, points}")
+    if not np.isfinite([sweep.start, sweep.stop]).all():
+        raise ConfigError(f"field.omega_L must be finite, got {om!r}")
+    return sweep
 
 
 def _parse_run(doc: dict) -> RunSpec:
     run = doc.get("run", {}) or {}
-    _check_keys(run, {"observable", "output", "oracle"}, "run")
+    _check_keys(run, {"output", "oracle"}, "run")
     ladder = []
     oracle = run.get("oracle")
     if oracle is not None:
@@ -158,11 +161,7 @@ def _parse_run(doc: dict) -> RunSpec:
             if "grid_offset" in rung:
                 kwargs["grid_offset"] = float(rung["grid_offset"])
             ladder.append(DiscretizationSpec(**kwargs))
-    return RunSpec(
-        observable=str(run.get("observable", "continuum_pop")),
-        output=run.get("output"),
-        oracle=tuple(ladder),
-    )
+    return RunSpec(output=run.get("output"), oracle=tuple(ladder))
 
 
 def load_config(path: str) -> ModelConfig:
@@ -251,7 +250,7 @@ def save_model(model: GeneralModel, path: str, sweep: SweepSpec | None = None,
                                         "stop": float(sweep.stop),
                                         "points": int(sweep.points)}}
     if run is not None:
-        rd: dict = {"observable": run.observable}
+        rd: dict = {}
         if run.output:
             rd["output"] = run.output
         if run.oracle:

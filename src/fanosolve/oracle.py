@@ -16,10 +16,14 @@ Hamiltonian has an arrow shape) and no jump ends in a continuum state, so
 the continuum-continuum block of the generator is diagonal and can be
 eliminated exactly (Schur complement), leaving a dense kernel problem over
 the coherences and populations with a discrete index, closed by the trace
-constraint.  That retained system is assembled directly from the
-Hamiltonian and the rates; the sparse Kronecker generator
-(:attr:`FullLindbladian.matrix`) is the test reference, cross-checked
-against the eliminated solver and a plain sparse LU in the test suite.
+constraint.  The generator preserves Hermiticity, so that retained system
+is real in the real and imaginary parts of the lower-triangle elements:
+it is assembled directly from the Hamiltonian and the rates as a real
+matrix of the same size and solved with one real LU, a quarter of the
+flops and half the bytes of the complex system.  The sparse Kronecker
+generator (:attr:`FullLindbladian.matrix`) is the test reference,
+cross-checked against the eliminated solver and a plain sparse LU in the
+test suite.
 """
 
 from __future__ import annotations
@@ -138,8 +142,9 @@ def build_full_lindbladian(model: GeneralModel, spec: DiscretizationSpec,
     ntot = nd + mk * model.n_continua
     dim = ntot * ntot
     if dim > _DIMENSION_CAP:
-        # the dense retained system, its bordered copy and the LU's copy
-        est_gb = 3 * 16 * (dim - (ntot - nd) ** 2) ** 2 / 1e9
+        # the solve holds three real d x d matrices: the retained system, its
+        # bordered copy and LAPACK's copy
+        est_gb = 3 * 8 * (dim - (ntot - nd) ** 2) ** 2 / 1e9
         raise ValueError(
             f"superoperator dimension {dim} exceeds cap {_DIMENSION_CAP} "
             f"(estimated memory ~{est_gb:.1f} GB)")
@@ -192,10 +197,10 @@ class OracleSolution:
     density matrix (small negative values are a finite-discretization
     artifact, tolerated down to -1e-9 and reported rather than hidden);
     ``kernel_separation`` estimates how far the eliminated generator is
-    from a second kernel dimension, in units of ``eps * max|gen|`` (large
-    means a clean one-dimensional kernel; at least 1e6 once accepted).  It
-    is an estimate from the trace-bordered certificate of the shared kernel
-    solve, finite at every size.
+    from a second kernel dimension, in units of ``eps * max|gen|`` of the
+    real retained system (large means a clean one-dimensional kernel; at
+    least 1e6 once accepted).  It is an estimate from the trace-bordered
+    certificate of the shared kernel solve, finite at every size.
     """
 
     rho: np.ndarray
@@ -205,74 +210,125 @@ class OracleSolution:
     kernel_separation: float
 
 
-def _retained_system(fl: FullLindbladian):
-    """Schur complement and eliminated trace row over the retained unknowns.
+def _pair_part(x, y, out, imag: bool) -> None:
+    """Entries ``u + i w`` of one lower element in the real or imaginary part of equations.
 
-    The retained unknowns are every ``rho[i, j]`` with a discrete index, in
-    flat order: first ``rho[:, a]`` for each discrete level a (``N *
-    n_total`` entries), then ``rho[:N, c]`` for each continuum state c.  No
+    ``rho[i, a] = u + i w`` and ``rho[a, i] = u - i w``, so the coefficients
+    x of ``rho[i, a]`` and y of ``rho[a, i]`` enter the real part of an
+    equation as ``conj(x) + y`` and its imaginary part as ``i (conj(x) -
+    y)``; ``out`` is a complex view of the real rows.
+    """
+    np.conjugate(x, out=out)
+    if imag:
+        out -= y
+        out *= 1j
+    else:
+        out += y
+
+
+def _retained_system(fl: FullLindbladian):
+    """Real Schur complement and eliminated trace row over the retained unknowns.
+
+    The retained unknowns are every ``rho[i, j]`` with a discrete index.  No
     jump ends in a continuum state and the comb is diagonal, so the
     equation of ``rho[c, c']`` involves only itself, at ``dq[c, c'] = -i
     (h_c'c' - conj h_cc) - decay_cc'``, and ``rho[c, a]``, ``rho[a, c']``
     through the couplings.  Eliminating it leaves fill-in between each pair
-    of discrete levels that is a rank-one product over ``dq``, written
-    block by block into strided views; population relaxing from continuum
-    state c to level t enters row (t, t) as the eliminated trace of
-    ``rho[c, c]``.  Returns ``(schur, t_row, null_row, dq)``.
+    of discrete levels that is a rank-one product over ``dq``; population
+    relaxing from continuum state c to level t enters row (t, t) as the
+    eliminated trace of ``rho[c, c]``.
+
+    The generator preserves Hermiticity, so the equations of ``rho[a, i]``
+    are the conjugates of those of ``rho[i, a]``, and the system is real in
+    real coordinates: the populations, then the real and imaginary parts of
+    each lower element, ``rho[i, a]`` with ``i > a`` in ``np.tril_indices``
+    order and then ``rho[c, a]`` ordered by (a, c).  The rows are the real
+    and imaginary parts of the equations of the same elements, so row 0 is
+    still the gg population.  The few rows of discrete elements are
+    assembled as complex equations and mapped; the rows of ``rho[c, a]`` are
+    written straight into complex views of the real matrix.  Returns
+    ``(gen, norm_row, null_row, dq)``: the float64 ``d x d`` generator, the
+    real eliminated trace row, the retained trace (1 on the populations) and
+    ``dq``.
     """
     h = fl.hamiltonian
     nd, n = fl.n_discrete, fl.n_total
-    nc, na = n - nd, nd * n
+    nc = n - nd
+    d = nd * (n + nc)
     hdd, hdc, hcd = h[:nd, :nd], h[:nd, nd:], h[nd:, :nd]
     comb = np.diag(h)[nd:]
     dq = -1j * (comb[None, :] - comb.conj()[:, None]) - fl.decay[nd:, nd:]
     if np.min(np.abs(dq)) == 0:
         raise SteadyStateError("undamped continuum coherence; steady state not unique")
     inv = 1.0 / dq
-    relax = fl.gains[:, nd:]
     dr, mr = np.arange(nd), np.arange(nc)
+    li, la = np.tril_indices(nd, -1)
+    lead = nd + 2 * li.size  # first real coordinate of the continuum elements
 
-    schur = np.zeros((na + nc * nd,) * 2, dtype=complex)
-    # views: each block splits its row and column axes without copying
-    saa = schur[:na, :na].reshape(nd, n, nd, n)   # [a, i, a', i']
-    sab = schur[:na, na:].reshape(nd, n, nc, nd)  # [a, i, c', b']
-    sba = schur[na:, :na].reshape(nc, nd, nd, n)  # [c, b, a', i']
-    sbb = schur[na:, na:].reshape(nc, nd, nc, nd)  # [c, b, c', b']
-    diag = schur.reshape(-1)[::schur.shape[0] + 1]
+    def realify(coef, x, y, out, imag):
+        """Write the real (or imaginary) part of equations into real rows ``out``.
 
-    # the generator on the retained unknowns
-    diag -= np.concatenate([vec(fl.decay[:, :nd]), vec(fl.decay[:nd, nd:])])
-    diag[na:] -= 1j * np.repeat(comb, nd)
-    saa[:, np.arange(n), :, np.arange(n)] -= 1j * hdd
-    for a in range(nd):
-        saa[a, :, a, :] += 1j * h.conj()
-    saa[dr[:, None], dr[:, None], dr, dr] += fl.gains[:, :nd]
-    sab[:, dr, :, dr] -= 1j * hdc
-    sba[:, dr, :, dr] -= 1j * hcd
-    sbb[mr, :, mr, :] += 1j * hdd.conj()
+        ``coef[..., k, l]`` holds the coefficients of the discrete
+        ``rho[k, l]``; x and y, those of ``rho[c, a]`` and ``rho[a, c]``
+        ordered by (a, c), or None when the caller writes these columns.
+        """
+        out[..., :nd] = (coef.imag if imag else coef.real)[..., dr, dr]
+        uw = out[..., nd:].view(complex)
+        _pair_part(coef[..., li, la], coef[..., la, li], uw[..., :li.size], imag)
+        if x is not None:
+            _pair_part(x, y, uw[..., li.size:].reshape(x.shape), imag)
 
-    # fill-in from eliminating rho[c, c']
-    pairs = (hdc.T[:, :, None] * hcd[:, None, :]).reshape(nc, nd * nd)  # [c, (a, b)]
-    saa[:, nd + mr, :, nd + mr] += (inv @ pairs).reshape(nc, nd, nd)
-    sbb[mr, :, mr, :] += (inv.T @ pairs.conj()).reshape(nc, nd, nd)
-    for a in range(nd):
-        for b in range(nd):
-            sab[a, nd:, :, b] -= hcd[:, b, None].conj() * hdc[a] * inv
-            sba[:, a, b, nd:] -= hcd[:, b, None] * hdc[a].conj() * inv.T
-
-    t_row = np.zeros(na + nc * nd, dtype=complex)
-    ta = t_row[:na].reshape(nd, n)
-    tb = t_row[na:].reshape(nc, nd)
-    ta[dr, dr] = 1.0
+    # the eliminated trace: rho[c, c] in terms of rho[c, a] and rho[a, c]
     dqd = np.diag(dq)[:, None]
-    ta[:, nd:] = (1j * hcd / dqd).T
-    tb[:] = -1j * hcd.conj() / dqd
-    for t in range(nd):
-        saa[t, t, :, nd:] += relax[t] * ta[:, nd:]
-        sab[t, t] += relax[t][:, None] * tb
-    null_row = np.zeros_like(t_row, dtype=float)
-    null_row[:na].reshape(nd, n)[dr, dr] = 1.0
-    return schur, t_row, null_row, dq
+    tx, ty = (1j * hcd / dqd).T, (-1j * hcd.conj() / dqd).T
+
+    # complex equations of the discrete rho[i, a], indexed [a, i, ...]
+    coef = np.zeros((nd, nd, nd, nd), dtype=complex)  # of the discrete rho[k, l]
+    x = np.zeros((nd, nd, nd, nc), dtype=complex)     # of rho[c, a'], [a', c]
+    y = np.zeros_like(x)                              # of rho[b, c], [b, c]
+    coef[dr[:, None], dr, dr, dr[:, None]] -= fl.decay[:nd, :nd].T
+    coef[dr, :, :, dr] += 1j * hdd.conj()
+    x[dr, :, dr] += 1j * hdc.conj()
+    coef[:, dr, dr, :] -= 1j * hdd[:, None, :]
+    y[:, dr, dr, :] -= 1j * hdc[:, None, :]
+    coef[dr[:, None], dr[:, None], dr, dr] += fl.gains[:, :nd]
+    relax = fl.gains[:, nd:]  # continuum population relaxing to level t
+    x[dr, dr] += relax[:, None, :] * tx
+    y[dr, dr] += relax[:, None, :] * ty
+
+    gen = np.empty((d, d))
+    realify(coef[dr, dr], x[dr, dr], y[dr, dr], gen[:nd], False)
+    lower = coef[la, li], x[la, li], y[la, li]
+    realify(*lower, gen[nd:lead:2], False)
+    realify(*lower, gen[nd + 1:lead:2], True)
+
+    # rows of rho[c, a], [a, c]: rho[b, a] enters through the couplings ...
+    re, im = (gen[lead + k::2].reshape(nd, nc, d) for k in (0, 1))
+    coef_c = np.zeros((nd, nc, nd, nd), dtype=complex)  # [a, c, k, l]
+    coef_c[dr, :, :, dr] = 1j * hcd.conj()
+    realify(coef_c, None, None, re, False)
+    realify(coef_c, None, None, im, True)
+    # ... rho[b, c'] through the fill-in from eliminating rho[c, c'], dense ...
+    re_c, im_c = (v[..., lead:].view(complex).reshape(nd, nc, nd, nc) for v in (re, im))
+    for a in range(nd):  # [c, b, c']
+        np.multiply((inv * hdc[a])[:, None, :], -hcd.conj()[:, :, None], out=re_c[a])
+        np.multiply(re_c[a], -1j, out=im_c[a])
+    # ... and rho[c, b] diagonally: decay, comb, couplings and fill-in
+    pairs = (hdc.T[:, :, None] * hcd[:, None, :]).reshape(nc, nd * nd)  # [c, (a, b)]
+    diag = (inv @ pairs).reshape(nc, nd, nd) - 1j * hdd
+    diag[:, dr, dr] += 1j * comb.conj()[:, None] - fl.decay[nd:, :nd]
+    diag = diag.conj()  # a coefficient x of rho[c, b] enters as conj(x)
+    re_c[:, mr, :, mr] += diag
+    im_c[:, mr, :, mr] += 1j * diag
+
+    norm_row = np.empty((2, d))
+    realify(np.eye(nd), tx, ty, norm_row[0], False)
+    realify(np.eye(nd), tx, ty, norm_row[1], True)
+    # the trace of a Hermitian rho is real: the imaginary part is rounding
+    assert np.abs(norm_row[1]).max() <= 1e-12 * np.abs(norm_row[0]).max()
+    null_row = np.zeros(d)
+    null_row[:nd] = 1.0
+    return gen, norm_row[0], null_row, dq
 
 
 def oracle_steady_state(fl: FullLindbladian) -> OracleSolution:
@@ -290,13 +346,16 @@ def oracle_steady_state(fl: FullLindbladian) -> OracleSolution:
     """
     h = fl.hamiltonian
     nd, n = fl.n_discrete, fl.n_total
-    na = nd * n
-    schur, t_row, null_row, dq = _retained_system(fl)
-    xr, sep = _stationary_solve(schur, t_row, null_row)
+    gen, norm_row, null_row, dq = _retained_system(fl)
+    xr, sep = _stationary_solve(gen, norm_row, null_row)
+    li, la = np.tril_indices(nd, -1)
+    z = xr[nd::2] + 1j * xr[nd + 1::2]  # the lower elements
+    zc = z[li.size:].reshape(nd, n - nd)
 
     r = np.empty((n, n), dtype=complex)
-    r[:, :nd] = xr[:na].reshape(nd, n).T
-    r[:nd, nd:] = xr[na:].reshape(n - nd, nd).T
+    r[np.diag_indices(nd)] = xr[:nd]
+    r[li, la], r[la, li] = z[:li.size], z[:li.size].conj()
+    r[nd:, :nd], r[:nd, nd:] = zc.T, zc.conj()
     hcd = h[nd:, :nd]
     r[nd:, nd:] = 1j * (r[nd:, :nd] @ hcd.T - hcd.conj() @ r[:nd, nd:]) / dq
 

@@ -152,7 +152,8 @@ def _reject_degenerate(sep: np.ndarray, batched: bool) -> None:
 def _stationary_solve(gen: np.ndarray, norm_row: np.ndarray, null_row: np.ndarray):
     """Certified one-dimensional kernel of a trace-annihilating generator.
 
-    ``gen`` is one dense generator or a stack of them, shape ``(..., d, d)``;
+    ``gen`` is one dense generator or a stack of them, shape ``(..., d, d)``,
+    real or complex (a real one is factorized in real arithmetic);
     ``norm_row @ x = 1`` is the normalization and ``null_row`` the exact
     left null vector (the trace), both of shape ``(d,)``.  Row 0, the gg
     population row, is redundant (the population rows sum to zero), so
@@ -176,9 +177,13 @@ def _stationary_solve(gen: np.ndarray, norm_row: np.ndarray, null_row: np.ndarra
     for non-finite entries, a degenerate kernel, a normalization that
     vanishes on the kernel or a large residual.
     """
-    gen = np.asarray(gen, dtype=complex)
+    gen = np.asarray(gen)
+    gen = gen.astype(np.result_type(gen, np.asarray(norm_row), float), copy=False)
     batched = gen.ndim > 2
-    scale = np.abs(gen).max(axis=(-2, -1))
+    if np.iscomplexobj(gen):
+        scale = np.abs(gen).max(axis=(-2, -1))
+    else:  # no d x d temporary
+        scale = np.maximum(gen.max(axis=(-2, -1)), -gen.min(axis=(-2, -1)))
     bad = ~np.isfinite(scale)
     if np.any(bad):
         k, at = _first(bad, batched)

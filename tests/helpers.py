@@ -109,9 +109,8 @@ def two_lu_separation(gen: np.ndarray, null_row: np.ndarray) -> float:
     ``B_null`` (``null_row`` scaled to ``max|gen|`` in row 0) factorized
     separately; the reference for the solver's rank-one update.
     """
-    gen = np.asarray(gen, dtype=complex)
     scale = np.abs(gen).max()
-    b = gen.copy()
+    b = np.array(gen)
     b[0] = scale * null_row
     y = np.linalg.solve(b, _probes(gen.shape[-1]))
     return np.sqrt(y.shape[-1]) / np.linalg.norm(y) / (np.finfo(float).eps * scale)
@@ -136,6 +135,54 @@ def kronecker_elimination(fl):
     schur = L[ir][:, ir].toarray() - (L[ir][:, iq] @ (sp.diags(1.0 / dq) @ g)).toarray()
     t = trace_row(n)
     return schur, t[ir] - (t[iq] / dq) @ g, t[ir]
+
+
+def retained_positions(fl) -> tuple[np.ndarray, np.ndarray]:
+    """Flat position of each retained ``rho[i, j]`` and of each one's mirror.
+
+    Returns an ``(n, n)`` map (-1 where eliminated) and, per position, the
+    position of ``rho[j, i]``; positions follow :func:`kronecker_elimination`.
+    """
+    n, nd = fl.n_total, fl.n_discrete
+    bra, ket = np.divmod(np.arange(n * n), n)
+    keep = (bra < nd) | (ket < nd)
+    bra, ket = bra[keep], ket[keep]
+    where = np.full((n, n), -1)
+    where[ket, bra] = np.arange(ket.size)
+    return where, where[bra, ket]
+
+
+def realify(schur, t_row, null_row, fl):
+    """Real form of a complex retained system, built by index pairing.
+
+    The real coordinates are the populations, then ``(Re, Im)`` of each
+    lower element: ``rho[i, a]`` with ``i > a`` in ``np.tril_indices``
+    order, then ``rho[c, a]`` ordered by (a, c).  With ``rho = T y`` the
+    rows are the real and imaginary parts of the rows of ``schur T`` in the
+    same order.  Returns the real matrix, the real part of ``t_row T`` (its
+    imaginary part must be rounding) and ``null_row T``.
+    """
+    n, nd = fl.n_total, fl.n_discrete
+    where, mirror = retained_positions(fl)
+    li, la = np.tril_indices(nd, -1)
+    lower = [*zip(li, la)] + [(c, a) for a in range(nd) for c in range(nd, n)]
+    d = mirror.size
+    tmat = np.zeros((d, d), dtype=complex)
+    src, imag = np.empty(d, dtype=int), np.zeros(d, dtype=bool)
+    for a in range(nd):
+        tmat[where[a, a], a] = 1.0
+        src[a] = where[a, a]
+    for k, (i, j) in enumerate(lower):
+        re, im = nd + 2 * k, nd + 2 * k + 1
+        tmat[where[i, j], [re, im]] = 1.0, 1j
+        tmat[where[j, i], [re, im]] = 1.0, -1j
+        src[re] = src[im] = where[i, j]
+        imag[im] = True
+    st = (schur @ tmat)[src]
+    gen = np.where(imag[:, None], st.imag, st.real)
+    norm = t_row @ tmat
+    assert np.abs(norm.imag).max() <= 1e-12 * np.abs(norm.real).max()
+    return gen, norm.real, (null_row @ tmat).real
 
 
 def splu_steady_state(fl) -> np.ndarray:

@@ -44,12 +44,12 @@ class TestConfigRoundTrip:
         m = two_band_demo_model()
         path = tmp_path / "m.yaml"
         save_model(m, str(path), sweep=SweepSpec(5.0, 25.0, 101),
-                   run=RunSpec(observable="continuum_pop", output="x.csv"),
+                   run=RunSpec(output="x.csv"),
                    units="level-1 coupling to continuum A")
         cfg = load_config(str(path))
         assert models_equal(cfg.model, m)
         assert cfg.sweep == SweepSpec(5.0, 25.0, 101)
-        assert cfg.run.observable == "continuum_pop"
+        assert cfg.run == RunSpec(output="x.csv")
 
     def test_awkward_floats_bit_exact(self, tmp_path):
         dip = np.zeros((2, 2), dtype=complex)
@@ -97,6 +97,26 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match="diverges in the wideband approximation"):
             load_config(str(path))
 
+    def test_observable_key_rejected(self, tmp_path):
+        path = tmp_path / "m.yaml"
+        save_model(fano_model(FanoParams(0.0, 1.0, 0.05)), str(path),
+                   sweep=SweepSpec(0.0, 0.0, 1))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("run: {observable: continuum_pop}\n")
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) \['observable'\] in run"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("field", ["omega_L: .nan",
+                                       "omega_L: {start: 0.0, stop: .inf, points: 3}"],
+                             ids=["scalar-nan", "stop-inf"])
+    def test_non_finite_omega_rejected_at_load(self, tmp_path, field):
+        path = tmp_path / "m.yaml"
+        save_model(fano_model(FanoParams(0.0, 1.0, 0.05)), str(path))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"field: {{{field}}}\n")
+        with pytest.raises(ConfigError, match="field.omega_L must be finite"):
+            load_config(str(path))
+
     def test_oracle_ladder_parsed(self, tmp_path):
         m = fano_model(FanoParams(0.0, 1.0, 0.05, Gamma_cg=2.0))
         path = tmp_path / "m.yaml"
@@ -130,8 +150,8 @@ class TestScatterCommand:
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("flag, value", [("--q", "nan"), ("--omega", "inf"),
-                                             ("--t", "-5,1"), ("--t", "1,nan")],
-                             ids=["q-nan", "omega-inf", "t-negative", "t-nan"])
+                                             ("--t", "-5,1")],
+                             ids=["q-nan", "omega-inf", "t-negative"])
     def test_bad_input_exits_1(self, tmp_path, capsys, flag, value):
         opts = {"--q": "1", "--omega": "0.1", "--t": "1,10", flag: value}
         argv = ["scatter", "--eps", "-1:1:5", "--out", str(tmp_path / "s.csv")]
@@ -140,6 +160,15 @@ class TestScatterCommand:
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
+
+    def test_non_finite_times_rejected_by_parser(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["scatter", "--q", "1", "--omega", "0.1", "--t", "1,nan",
+                  "--eps", "-1:1:5", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --t: values must be finite, got 'nan'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_flat_profile_summary(self, tmp_path, capsys):
         main(["scatter", "--q", "1", "--omega", "5", "--t", "1",
@@ -182,19 +211,20 @@ class TestSteadyCommand:
         doc = json.loads(summ.read_text())
         assert "fit_residual" in doc and doc["fit_residual"] is not None
 
-    def test_non_finite_grid_exits_1(self, tmp_path, capsys):
+    def test_non_finite_grid_rejected_by_parser(self, tmp_path, capsys):
         out = tmp_path / "st.csv"
-        assert main(["steady", "--q", "1", "--omega", "0.1", "--eps", "0:nan:3",
-                     "--out", str(out)]) == 1
-        assert "epsilons must be finite" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["steady", "--q", "1", "--omega", "0.1", "--eps", "0:nan:3",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --eps: values must be finite, got 'nan'" in capsys.readouterr().err
         assert not out.exists()
 
 
 class TestGeneralCommand:
     def test_two_band_config_run(self, tmp_path):
         cfg = tmp_path / "two_band_demo.yaml"
-        save_model(two_band_demo_model(), str(cfg), sweep=SweepSpec(8.0, 12.0, 9),
-                   run=RunSpec(observable="continuum_pop"))
+        save_model(two_band_demo_model(), str(cfg), sweep=SweepSpec(8.0, 12.0, 9))
         out = tmp_path / "g.csv"
         rc = main(["general", "--config", str(cfg), "--out", str(out)])
         assert rc == 0
@@ -221,7 +251,7 @@ class TestGeneralCommand:
         save_model(two_band_demo_model(), str(cfg), sweep=SweepSpec(float("nan"), 12.0, 3))
         out = tmp_path / "g.csv"
         assert main(["general", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "omegas must be finite" in capsys.readouterr().err
+        assert "field.omega_L must be finite" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from helpers import (kronecker_elimination, spectator_model, splu_steady_state, svd_gap,
-                     two_lu_separation)
+from helpers import (kronecker_elimination, realify, retained_positions, spectator_model,
+                     splu_steady_state, svd_gap, two_lu_separation)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -137,10 +137,16 @@ class TestDirectAssembly:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(fl=discretized_models())
     def test_matches_kronecker_elimination(self, fl):
-        schur, t_row, null_row, _ = _retained_system(fl)
+        gen, norm_row, null_row, _ = _retained_system(fl)
         ref_schur, ref_t, ref_null = kronecker_elimination(fl)
-        assert np.abs(schur - ref_schur).max() <= 1e-13 * np.abs(ref_schur).max()
-        assert np.abs(t_row - ref_t).max() <= 1e-13 * np.abs(ref_t).max()
+        # Hermiticity: the rows of rho[j, i] are the conjugates of those of rho[i, j]
+        mirror = retained_positions(fl)[1]
+        paired = ref_schur[np.ix_(mirror, mirror)]
+        assert np.abs(paired - ref_schur.conj()).max() <= 1e-15 * np.abs(ref_schur).max()
+        ref_gen, ref_norm, ref_null = realify(ref_schur, ref_t, ref_null, fl)
+        assert gen.dtype == norm_row.dtype == np.float64
+        assert np.abs(gen - ref_gen).max() <= 1e-13 * np.abs(ref_gen).max()
+        assert np.abs(norm_row - ref_norm).max() <= 1e-13 * np.abs(ref_norm).max()
         assert np.array_equal(null_row, ref_null)
         try:
             sol = oracle_steady_state(fl)
@@ -219,9 +225,24 @@ class TestSteadyState:
         m = two_continua_model(q=1.0, Omega1=0.1, Omega2=0.2, gamma1_sq=0.4,
                                Gamma_c1=2.0, Gamma_c2=1.5)
         fl = build_full_lindbladian(m, DiscretizationSpec(mk - 1.0, mk), 0.3)
-        schur, t_row, null_row, _ = _retained_system(fl)
-        _, sep = _stationary_solve(schur, t_row, null_row)
-        assert sep == pytest.approx(two_lu_separation(schur, null_row), rel=1e-2)
+        gen, norm_row, null_row, _ = _retained_system(fl)
+        x, sep = _stationary_solve(gen, norm_row, null_row)
+        assert x.dtype == np.float64  # a real generator is solved in real arithmetic
+        assert sep == pytest.approx(two_lu_separation(gen, null_row), rel=1e-2)
+
+    def test_real_solve_matches_complex_solve(self):
+        # the same kernel, scale and certificate in real and complex arithmetic,
+        # for the oracle's system and a classical rate matrix, either sign
+        rates = np.random.default_rng(5).uniform(0.1, 1.0, (6, 6))
+        rates -= np.diag(rates.sum(axis=0))
+        gen, norm_row, null_row, _ = _retained_system(small_fl(mk=21, w=20.0))
+        for g, norm, null in ((gen, norm_row, null_row), (rates, np.ones(6), np.ones(6))):
+            for sign in (1.0, -1.0):
+                x, sep = _stationary_solve(sign * g, norm, null)
+                xc, sep_c = _stationary_solve(sign * g.astype(complex), norm, null)
+                assert x.dtype == np.float64
+                assert np.abs(x - xc).max() <= 1e-12 * np.abs(xc).max()
+                assert sep == pytest.approx(sep_c, rel=1e-6)
 
     def test_agreement_with_effective_solution(self):
         # W = 100 leaves ~1% of Lorentzian tail outside the band; 2e-2 is
