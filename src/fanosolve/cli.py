@@ -43,15 +43,29 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    lines = [_UNITS_COMMENT, ",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+def _emit(path, text: str) -> None:
+    """Write text to ``path``, or to stdout for None or ``-``."""
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    lines = [_UNITS_COMMENT, ",".join(header)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    _emit(path, "\n".join(lines) + "\n")
+
+
+def _write_json(path, summary: dict) -> None:
+    _emit(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+
+
+def _decomposition(dec) -> dict:
+    """JSON fields of a :class:`LineshapeDecomposition`."""
+    return {"Delta": dec.Delta, "sigma": dec.sigma, "K_den": dec.K_den,
+            "c2": dec.c2, "q": dec.q, "D": dec.D}
 
 
 def _finite(text: str) -> float:
@@ -120,19 +134,11 @@ def cmd_steady(args) -> int:
         summary["fit_residual"] = sweep.fit.max_rel_residual
         dec = sweep.decomposition
         if dec is not None and not dec.pure_lorentzian:
-            summary["decomposition"] = {
-                "Delta": dec.Delta, "sigma": dec.sigma, "K_den": dec.K_den,
-                "c2": dec.c2, "q": dec.q, "D": dec.D,
-                "residual": sweep.fit.max_rel_residual,
-            }
+            summary["decomposition"] = {**_decomposition(dec),
+                                        "residual": sweep.fit.max_rel_residual}
     else:
         summary["fit_residual"] = None
-    text = json.dumps(summary, indent=2, sort_keys=True)
-    if args.summary in (None, "-"):
-        print(text)
-    else:
-        with open(args.summary, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    _write_json(args.summary, summary)
     return 0
 
 
@@ -172,17 +178,10 @@ def cmd_decompose(args) -> int:
     try:
         dec = decompose(fit.rq)
         if not dec.pure_lorentzian:
-            out["decomposition"] = {"Delta": dec.Delta, "sigma": dec.sigma,
-                                    "K_den": dec.K_den, "c2": dec.c2,
-                                    "q": dec.q, "D": dec.D}
+            out["decomposition"] = _decomposition(dec)
     except ValueError as exc:
         out["decomposition_error"] = str(exc)
-    text = json.dumps(out, indent=2, sort_keys=True)
-    if args.out in (None, "-"):
-        print(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    _write_json(args.out, out)
     return 0
 
 

@@ -8,12 +8,13 @@ eliminating every continuum leaves, in the rotating frame,
              n_a pi V_i^(a) V_j^(a) |bb>><<ij|
     C^(a)_ij = 2 pi n_a V_i^(a) V_j^(a) / sum_l Gamma_l^(a)
 
-plus the discrete-manifold dissipators, with the integrated population of
-continuum a given by ``sum_ij C^(a)_ij rho_ij`` and the normalization
-``trace(rho) + sum_a n_c^(a) = 1``.  The jump matrix returns exactly the
-flux removed by the anti-Hermitian part of H_eff (entrywise trace-flow
-closure), and the C coefficients are that same flux divided by the total
-relaxation rate of the continuum: flux balance at stationarity.
+plus the discrete-manifold dissipators, in the rate form the discretized
+validator shares, with the integrated population of continuum a given by
+``sum_ij C^(a)_ij rho_ij`` and the normalization ``trace(rho) + sum_a
+n_c^(a) = 1``.  The jump matrix returns exactly the flux removed by the
+anti-Hermitian part of H_eff (entrywise trace-flow closure), and the C
+coefficients are that same flux divided by the total relaxation rate of
+the continuum: flux balance at stationarity.
 
 Canned constructors cover the standard special cases: the single resonance
 (cross-checked against :mod:`fanosolve.liouville`), three discrete levels
@@ -24,14 +25,14 @@ two-continuum demonstration.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Continuum, DensityMatrixP, FanoParams, GeneralModel, validate_model
-from .superop import (_stationary_solve, basis_jump_superop, dephasing_superop,
-                      flat_index, hamiltonian_superop, trace_row, unvec, vec)
+from .models import (Continuum, DensityMatrixP, FanoParams, GeneralModel,
+                     _discrete_lindblad, validate_model)
+from .superop import (_stationary_solve, decay_table, hamiltonian_superop, lindblad_superop,
+                      trace_row, unvec, vec)
 
 __all__ = [
     "GeneralEffectiveLiouvillian",
@@ -52,21 +53,24 @@ logger = logging.getLogger("fanosolve")
 class GeneralEffectiveLiouvillian:
     """Effective generator of a :class:`GeneralModel` in the rotating frame.
 
-    ``matrix = hamiltonian_superop(heff) + Ltilde + L_D`` in the flat basis
-    of :mod:`fanosolve.superop` (bra index slow, i.e. (gg, e1 g, ..., g e1,
-    ...) for the level order of the model).  ``C_coeffs[a]`` contracts the
-    vectorized steady state into the population of continuum a.
+    ``matrix = lindblad_superop(heff, gains, decay) + Ltilde`` in the flat
+    basis of :mod:`fanosolve.superop` (bra index slow, i.e. (gg, e1 g, ...,
+    g e1, ...) for the level order of the model), with the discrete rates
+    in the form of :class:`fanosolve.oracle.FullLindbladian`.
+    ``C_coeffs[a]`` contracts the vectorized steady state into the
+    population of continuum a.
     """
 
     heff: np.ndarray
     Ltilde: np.ndarray
-    L_D: np.ndarray
+    gains: np.ndarray
+    decay: np.ndarray
     C_coeffs: np.ndarray
     n_levels: int
 
     @property
     def matrix(self) -> np.ndarray:
-        return hamiltonian_superop(self.heff) + self.Ltilde + self.L_D
+        return lindblad_superop(self.heff, self.gains, self.decay) + self.Ltilde
 
 
 def build_general(model: GeneralModel, omega_L: float = 0.0) -> GeneralEffectiveLiouvillian:
@@ -82,15 +86,8 @@ def build_general(model: GeneralModel, omega_L: float = 0.0) -> GeneralEffective
     problems = validate_model(model)
     if problems:
         raise ValueError("invalid model: " + "; ".join(problems))
-    if not math.isfinite(omega_L):
-        raise ValueError("omega_L must be finite")
+    heff, gains, deph = _discrete_lindblad(model, omega_L)
     n = model.n_levels
-
-    h0 = np.array(model.dipoles, dtype=complex)
-    h0[np.diag_indices(n)] = np.asarray(model.energies) - omega_L * np.asarray(
-        model.photon_indices, dtype=float)
-
-    heff = h0.astype(complex)
     ltilde = np.zeros((n * n, n * n))
     c_coeffs = np.zeros((model.n_continua, n * n))
     for a, cont in enumerate(model.continua):
@@ -104,18 +101,11 @@ def build_general(model: GeneralModel, omega_L: float = 0.0) -> GeneralEffective
         wvec = 2.0 * vec(width).real  # flux row over flat (i, j)
         for b, gb in enumerate(cont.relax_rates):
             if gb:
-                ltilde[flat_index(b, b, n)] += (gb / gtot) * wvec
+                ltilde[b * (n + 1)] += (gb / gtot) * wvec  # row of rho[b, b]
         c_coeffs[a] = wvec / gtot
 
-    l_d = np.zeros((n * n, n * n), dtype=complex)
-    for src, dst, rate in model.jumps:
-        if rate:
-            l_d = l_d + basis_jump_superop(src, dst, rate, n)
-    for i, j, rate in model.dephasings:
-        if rate:
-            l_d = l_d + dephasing_superop(i, j, rate, n)
-
-    return GeneralEffectiveLiouvillian(heff, ltilde, l_d, c_coeffs, n)
+    return GeneralEffectiveLiouvillian(heff, ltilde, gains, decay_table(gains, deph),
+                                       c_coeffs, n)
 
 
 def _solve(gen: np.ndarray, gel: GeneralEffectiveLiouvillian):
@@ -157,8 +147,7 @@ def general_sweep(model: GeneralModel, omegas):
     return _solve(gel.matrix + omegas[..., None, None] * shift, gel)
 
 
-def continuum_coherences(gel: GeneralEffectiveLiouvillian, state: DensityMatrixP,
-                         model: GeneralModel) -> np.ndarray:
+def continuum_coherences(state: DensityMatrixP, model: GeneralModel) -> np.ndarray:
     """Coupling-weighted coherence integrals between each continuum and each level.
 
     Entry (a, j) reconstructs the integral of the continuum-a coherence

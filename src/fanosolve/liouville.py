@@ -36,7 +36,6 @@ import numpy as np
 
 from .lineshape import FitResult, LineshapeDecomposition, decompose, fit_rational_quadratic
 from .models import DensityMatrixP, FanoParams
-from .scattering import build_heff
 from .superop import SteadyStateError, _stationary_solve, trace_row, transport_rate_from
 
 __all__ = [
@@ -55,28 +54,14 @@ logger = logging.getLogger("fanosolve")
 
 @dataclass(frozen=True)
 class EffectiveLiouvillian4:
-    """Effective generator on (gg, eg, ge, ee) and its building blocks.
+    """Effective generator on (gg, eg, ge, ee) and its continuum contraction.
 
-    ``matrix`` is the full 4x4 generator; ``heff`` the scattering effective
-    Hamiltonian, ``Ltilde`` the quantum-jump part restoring continuum flux,
-    and ``C`` the coefficient vector contracting the steady state into the
-    integrated continuum population.
+    ``matrix`` is the full 4x4 generator and ``C`` the coefficient vector
+    contracting the steady state into the integrated continuum population.
     """
 
     matrix: np.ndarray
-    heff: np.ndarray
-    Ltilde: np.ndarray
     C: np.ndarray
-    K: complex
-    A: complex
-
-
-def _quantum_jump_matrix(Omega: float, beta: float) -> np.ndarray:
-    row = 2.0 * np.array([Omega**2, Omega, Omega, 1.0])
-    lqj = np.zeros((4, 4))
-    lqj[0] = beta * row
-    lqj[3] = (1.0 - beta) * row
-    return lqj
 
 
 def build_effective_liouvillian(p: FanoParams) -> EffectiveLiouvillian4:
@@ -112,7 +97,7 @@ def build_effective_liouvillian(p: FanoParams) -> EffectiveLiouvillian4:
             (1 - 2 * beta + 1j * q) * Om, 2.0 * (1.0 - beta) - 2.0 - 2.0 * Ge]
 
     C = (2.0 / p.Gamma_c) * np.array([Om**2, Om, Om, 1.0])
-    return EffectiveLiouvillian4(L, build_heff(p), _quantum_jump_matrix(Om, beta), C, K, A)
+    return EffectiveLiouvillian4(L, C)
 
 
 def _as_density(vec4: np.ndarray, nc: float) -> DensityMatrixP:
@@ -189,13 +174,13 @@ class SweepResult:
         return self.fit.max_rel_residual if self.fit is not None else np.nan
 
 
-def lineshape_sweep(p: FanoParams, epsilons, observable: str = "continuum_pop",
-                    fit: bool = True) -> SweepResult:
+def lineshape_sweep(p: FanoParams, epsilons,
+                    observable: str = "continuum_pop") -> SweepResult:
     """Sweep the detuning and summarize the lineshape.
 
     ``observable`` is one of ``continuum_pop``, ``transport_rate`` or
-    ``absorption``.  When ``fit`` is true and the grid has at least six
-    points, the sweep is least-squares fitted by a rational quadratic and
+    ``absorption``.  When the grid has at least six distinct points, the
+    sweep is least-squares fitted by a rational quadratic and
     decomposed into (Delta, sigma, q, D); fit failure is recorded, not
     raised.  All points are certified and solved in one batched call; a
     failing point raises :class:`SteadyStateError` naming its index, and
@@ -221,7 +206,7 @@ def lineshape_sweep(p: FanoParams, epsilons, observable: str = "continuum_pop",
 
     fit_res = None
     dec = None
-    if fit and np.unique(epsilons).size >= 6 and np.any(values != 0):
+    if np.unique(epsilons).size >= 6 and np.any(values != 0):
         try:
             fit_res = fit_rational_quadratic(epsilons, values)
             dec = decompose(fit_res.rq)

@@ -254,6 +254,29 @@ def validate_model(model: GeneralModel) -> list[str]:
     return out
 
 
+def _discrete_lindblad(model: GeneralModel, omega_L: float):
+    """N x N rotating-frame Hamiltonian, jump gains and dephasings of the levels.
+
+    ``gains[t, f]`` sums the rates of the jumps f -> t; every generator of
+    the model is built from these.  Raises ``ValueError`` for a non-finite
+    ``omega_L``.
+    """
+    if not math.isfinite(omega_L):
+        raise ValueError("omega_L must be finite")
+    n = model.n_levels
+    h = np.array(model.dipoles, dtype=complex)
+    h[np.diag_indices(n)] = np.asarray(model.energies) - omega_L * np.asarray(
+        model.photon_indices, dtype=float)
+    gains = np.zeros((n, n))
+    deph = np.zeros((n, n))
+    for src, dst, rate in model.jumps:
+        gains[dst, src] += rate
+    for i, j, rate in model.dephasings:
+        deph[i, j] += rate
+        deph[j, i] += rate
+    return h, gains, deph
+
+
 @dataclass(frozen=True)
 class DensityMatrixP:
     """Discrete-subspace density matrix plus the integrated continuum populations.

@@ -20,15 +20,13 @@ constraint.  The generator preserves Hermiticity, so that retained system
 is real in the real and imaginary parts of the lower-triangle elements:
 it is assembled directly from the Hamiltonian and the rates as a real
 matrix of the same size and solved with one real LU, a quarter of the
-flops and half the bytes of the complex system.  The sparse Kronecker
-generator (:attr:`FullLindbladian.matrix`) is the test reference,
-cross-checked against the eliminated solver and a plain sparse LU in the
-test suite.
+flops and half the bytes of the complex system.  The discrete levels
+are described as in :mod:`fanosolve.general`, and no superoperator is
+ever formed.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -36,9 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .models import DensityMatrixP, GeneralModel, validate_model
-from .superop import (SteadyStateError, _stationary_solve, hamiltonian_superop,
-                      transport_rate_from, vec)
+from .models import DensityMatrixP, GeneralModel, _discrete_lindblad, validate_model
+from .superop import SteadyStateError, _stationary_solve, decay_table, transport_rate_from
 
 __all__ = [
     "DiscretizationSpec",
@@ -93,8 +90,6 @@ class FullLindbladian:
     population jump rate from state f to discrete level t (no jump ends in
     a continuum state) and ``decay[i, j]`` the decay rate of ``rho[i, j]``:
     half the summed jump losses of i and j plus pure dephasing.
-    :attr:`matrix`, the sparse Kronecker form of the generator, is built on
-    first use; the steady-state solver never needs it.
     """
 
     hamiltonian: np.ndarray
@@ -104,16 +99,6 @@ class FullLindbladian:
     n_total: int
     continuum_slices: tuple[slice, ...]
     total_relax_rates: tuple[float, ...]
-
-    @functools.cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """Sparse generator, ``(N + sum M_k)**2`` square, in the flat basis of :mod:`.superop`."""
-        n = self.n_total
-        to, frm = np.nonzero(self.gains)
-        gain = sp.coo_matrix((self.gains[to, frm], (to * n + to, frm * n + frm)),
-                             shape=(n * n, n * n))
-        return (hamiltonian_superop(self.hamiltonian, sparse=True) + gain
-                - sp.diags(vec(self.decay))).tocsr()
 
 
 def build_full_lindbladian(model: GeneralModel, spec: DiscretizationSpec,
@@ -134,27 +119,24 @@ def build_full_lindbladian(model: GeneralModel, spec: DiscretizationSpec,
                 if "total relaxation rate is zero" not in v]
     if problems:
         raise ValueError("invalid model: " + "; ".join(problems))
-    if not math.isfinite(omega_L):
-        raise ValueError("omega_L must be finite")
+    h_d, gains_d, deph_d = _discrete_lindblad(model, omega_L)
 
     nd = model.n_levels
     mk = spec.levels_per_continuum
-    ntot = nd + mk * model.n_continua
+    nc = mk * model.n_continua
+    ntot = nd + nc
     dim = ntot * ntot
     if dim > _DIMENSION_CAP:
         # the solve holds three real d x d matrices: the retained system, its
         # bordered copy and LAPACK's copy
-        est_gb = 3 * 8 * (dim - (ntot - nd) ** 2) ** 2 / 1e9
+        est_gb = 3 * 8 * (dim - nc ** 2) ** 2 / 1e9
         raise ValueError(
             f"superoperator dimension {dim} exceeds cap {_DIMENSION_CAP} "
             f"(estimated memory ~{est_gb:.1f} GB)")
 
-    h = np.zeros((ntot, ntot), dtype=complex)
-    h[:nd, :nd] = model.dipoles
-    h[np.diag_indices(nd)] = np.asarray(model.energies) - omega_L * np.asarray(
-        model.photon_indices, dtype=float)
-    gains = np.zeros((nd, ntot))
-    deph = np.zeros((ntot, ntot))
+    # the discrete tables, padded with the continuum states
+    h, deph = np.pad(h_d, (0, nc)), np.pad(deph_d, (0, nc))
+    gains = np.pad(gains_d, ((0, 0), (0, nc)))
 
     slices = []
     off = nd
@@ -175,15 +157,8 @@ def build_full_lindbladian(model: GeneralModel, spec: DiscretizationSpec,
             deph[:nd, sl] += np.asarray(cont.dephase_rates)[:, None]
         off += mk
 
-    for src, dst, rate in model.jumps:
-        gains[dst, src] += rate
-    for i, j, rate in model.dephasings:
-        deph[i, j] += rate
-        deph[j, i] += rate
-    loss = gains.sum(axis=0)
-    decay = 0.5 * np.add.outer(loss, loss) + deph
-
     totals = tuple(float(sum(c.relax_rates)) for c in model.continua)
+    decay = decay_table(gains, deph)
     return FullLindbladian(h, gains, decay, nd, ntot, tuple(slices), totals)
 
 

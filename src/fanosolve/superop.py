@@ -16,9 +16,9 @@ takes the standard closed form with ``A = -Gamma_e - Omega^2 - i epsilon
 elementwise conjugate with the two coherence labels swapped and carries
 identical populations and observables.
 
-Dissipation enters through :func:`jump_superop` (population relaxation
-``from -> to`` at a given rate) and :func:`dephasing_superop` (pure decay of
-the (i, j) coherence pair), both trace annihilating.
+Every model writes its dissipation in one rate form: jump gains
+``gains[t, f]`` and the decay table of :func:`decay_table`, from which
+:func:`lindblad_superop` builds the dense generator.
 
 Every solver finds its steady state with the same certified kernel solve,
 :func:`_stationary_solve`, and reports the stationary transfer rate through
@@ -36,16 +36,15 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "SteadyStateError",
-    "flat_index",
     "vec",
     "unvec",
     "hamiltonian_superop",
     "jump_superop",
-    "dephasing_superop",
+    "decay_table",
+    "lindblad_superop",
     "trace_row",
     "transport_rate_from",
 ]
@@ -58,11 +57,6 @@ class SteadyStateError(RuntimeError):
     """No unique physical steady state for the requested parameters."""
 
 
-def flat_index(ket: int, bra: int, n: int) -> int:
-    """Flat position of rho[ket, bra] in the vectorized density matrix."""
-    return bra * n + ket
-
-
 def vec(rho: np.ndarray) -> np.ndarray:
     """Vectorize with the bra index slow (column stacking); leading axes stack."""
     return np.swapaxes(rho, -1, -2).reshape(*np.shape(rho)[:-2], -1)
@@ -73,7 +67,7 @@ def unvec(x: np.ndarray, n: int) -> np.ndarray:
     return np.swapaxes(np.reshape(x, (*np.shape(x)[:-1], n, n)), -1, -2)
 
 
-def hamiltonian_superop(h: np.ndarray, sparse: bool = False):
+def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
     """Coherent part ``-i (H (x) 1 - 1 (x) conj(H))`` of the generator.
 
     For Hermitian H this is the commutator superoperator; an anti-Hermitian
@@ -81,10 +75,6 @@ def hamiltonian_superop(h: np.ndarray, sparse: bool = False):
     must restore for the physical trace bookkeeping to close.
     """
     h = np.asarray(h, dtype=complex)
-    if sparse:
-        hs, eye = sp.csr_matrix(h), sp.identity(h.shape[0], format="csr")
-        return -1j * (sp.kron(hs, eye, format="csr")
-                      - sp.kron(eye, hs.conj(), format="csr"))
     eye = np.eye(h.shape[0])
     return -1j * (np.kron(h, eye) - np.kron(eye, h.conj()))
 
@@ -102,23 +92,28 @@ def jump_superop(c: np.ndarray, rate: float):
     return rate * (np.kron(c, c.conj()) - 0.5 * (np.kron(cc, eye) + np.kron(eye, cc.T)))
 
 
-def basis_jump_superop(from_state: int, to_state: int, rate: float, n: int):
-    """Jump ``|to><from|`` between basis states at the given population rate."""
-    c = np.zeros((n, n))
-    c[to_state, from_state] = 1.0
-    return jump_superop(c, rate)
+def decay_table(gains: np.ndarray, deph: np.ndarray) -> np.ndarray:
+    """Decay rate of each ``rho[i, j]``: ``0.5 (loss_i + loss_j) + deph[i, j]``.
 
-
-def dephasing_superop(i: int, j: int, rate: float, n: int):
-    """Pure decay of the (i, j) and (j, i) coherences at the given rate.
-
-    Diagonal generator subtracting ``rate`` from exactly those two flat
-    components; populations and other coherences are untouched.
+    ``gains[t, f]`` is the jump rate from state f to state t, so the loss of
+    state f is its column sum; ``deph`` is the symmetric dephasing table.
     """
-    d = np.zeros(n * n)
-    d[flat_index(i, j, n)] = -rate
-    d[flat_index(j, i, n)] = -rate
-    return np.diag(d)
+    loss = gains.sum(axis=0)
+    return 0.5 * np.add.outer(loss, loss) + deph
+
+
+def lindblad_superop(h: np.ndarray, gains: np.ndarray, decay: np.ndarray) -> np.ndarray:
+    """Dense generator ``hamiltonian_superop(H) + gains - diag(vec(decay))``.
+
+    ``gains[t, f]`` enters the (tt, ff) entry; the result equals the basis
+    jumps' :func:`jump_superop` terms plus pure dephasing.
+    """
+    n = h.shape[0]
+    out = hamiltonian_superop(h)
+    pops = np.arange(n) * (n + 1)  # flat positions of the populations
+    out[np.ix_(pops, pops)] += gains
+    out[np.diag_indices(n * n)] -= vec(decay)
+    return out
 
 
 def trace_row(n: int) -> np.ndarray:

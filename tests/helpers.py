@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from fanosolve import (Continuum, DensityMatrixP, FanoParams, GeneralModel,
                        RationalQuadratic, SteadyStateError, build_effective_liouvillian)
-from fanosolve.superop import _probes, basis_jump_superop, dephasing_superop, trace_row
+from fanosolve.superop import _probes, jump_superop, trace_row, vec
 
 
 def random_rq(rng):
@@ -21,11 +21,29 @@ def random_rq(rng):
     return RationalQuadratic(a[0], a[1], a[2], b0, b1, b2)
 
 
+def basis_jump(frm: int, to: int, rate: float, n: int) -> np.ndarray:
+    """Textbook generator of the jump ``|to><from|`` at the given rate."""
+    c = np.zeros((n, n))
+    c[to, frm] = 1.0
+    return jump_superop(c, rate)
+
+
+def dephasing_diagonal(i: int, j: int, rate: float, n: int) -> np.ndarray:
+    """Pure decay of the (i, j) and (j, i) coherences: a diagonal generator."""
+    d = np.zeros((n, n))
+    d[i, j] = d[j, i] = -rate
+    return np.diag(vec(d))
+
+
 def discrete_dissipator_superop(p: FanoParams) -> np.ndarray:
     """Two-level-system dissipators: e->g jump (rate 2 Gamma_e) plus dephasing."""
-    out = basis_jump_superop(1, 0, 2.0 * p.Gamma_e, 2)
-    out = out + dephasing_superop(0, 1, p.gamma_eg, 2)
-    return out
+    return basis_jump(1, 0, 2.0 * p.Gamma_e, 2) + dephasing_diagonal(0, 1, p.gamma_eg, 2)
+
+
+def quantum_jump_matrix(p: FanoParams) -> np.ndarray:
+    """L_QJ of the single resonance: continuum flux, fraction beta to gg, 1 - beta to ee."""
+    row = 2.0 * np.array([p.Omega**2, p.Omega, p.Omega, 1.0])
+    return np.outer([p.beta, 0.0, 0.0, 1.0 - p.beta], row)
 
 
 @dataclass(frozen=True)
@@ -116,14 +134,30 @@ def two_lu_separation(gen: np.ndarray, null_row: np.ndarray) -> float:
     return np.sqrt(y.shape[-1]) / np.linalg.norm(y) / (np.finfo(float).eps * scale)
 
 
+def kronecker_generator(fl) -> sp.csr_matrix:
+    """Sparse Kronecker generator of a discretized model, ``(N + sum M_k)**2`` square.
+
+    ``-i (H (x) 1 - 1 (x) conj(H))`` plus the jump gains on the (tt, ff)
+    entries minus the decay table on the diagonal, in the flat basis of
+    :mod:`fanosolve.superop`: the reference that the oracle never forms.
+    """
+    n = fl.n_total
+    hs, eye = sp.csr_matrix(fl.hamiltonian), sp.identity(n, format="csr")
+    to, frm = np.nonzero(fl.gains)
+    gain = sp.coo_matrix((fl.gains[to, frm], (to * n + to, frm * n + frm)),
+                         shape=(n * n, n * n))
+    return (-1j * (sp.kron(hs, eye) - sp.kron(eye, hs.conj())) + gain
+            - sp.diags(vec(fl.decay))).tocsr()
+
+
 def kronecker_elimination(fl):
-    """Schur complement, eliminated trace row and retained trace of ``fl.matrix``.
+    """Schur complement, eliminated trace row and retained trace of the generator.
 
     The reference for the oracle's direct assembly: every flat index whose
     ket and bra are both continuum states is eliminated through the
-    diagonal block of the sparse Kronecker generator.
+    diagonal block of :func:`kronecker_generator`.
     """
-    L = fl.matrix
+    L = kronecker_generator(fl)
     n, nd = fl.n_total, fl.n_discrete
     bra, ket = np.divmod(np.arange(n * n), n)
     in_q = (bra >= nd) & (ket >= nd)
@@ -186,9 +220,9 @@ def realify(schur, t_row, null_row, fl):
 
 
 def splu_steady_state(fl) -> np.ndarray:
-    """Hermitian steady state of ``fl.matrix`` by sparse LU with the trace in row 0."""
+    """Hermitian steady state of :func:`kronecker_generator` by sparse LU, trace in row 0."""
     n = fl.n_total
-    L = fl.matrix.tolil()
+    L = kronecker_generator(fl).tolil()
     L[0] = trace_row(n)
     rhs = np.zeros(n * n, dtype=complex)
     rhs[0] = 1.0

@@ -6,11 +6,12 @@ report.  Tolerances are pinned here, not configurable.
 
 import numpy as np
 import pytest
-from helpers import discrete_dissipator_superop, random_rq, steady_state_cramer
+from helpers import (discrete_dissipator_superop, quantum_jump_matrix, random_rq,
+                     steady_state_cramer)
 
 from fanosolve import (DiscretizationSpec, FanoParams, LineshapeDecomposition,
                        build_effective_liouvillian, build_full_lindbladian,
-                       build_general, decompose, fano_model, fano_profile,
+                       build_general, build_heff, decompose, fano_model, fano_profile,
                        two_band_demo_model, general_steady_state, lineshape_sweep,
                        oracle_steady_state, poles, steady_state,
                        survival_probability,
@@ -123,7 +124,7 @@ def test_criterion_06_liouvillian_structure():
                        Gamma_ce=rng.uniform(0.0, 2.0),
                        gamma_eg=rng.uniform(0, 2))
         eff = build_effective_liouvillian(p)
-        rhs = (hamiltonian_superop(eff.heff) + eff.Ltilde
+        rhs = (hamiltonian_superop(build_heff(p)) + quantum_jump_matrix(p)
                + discrete_dissipator_superop(p))
         scale = max(1.0, np.abs(eff.matrix).max())
         worst_dec = max(worst_dec, np.abs(eff.matrix - rhs).max() / scale)
@@ -147,7 +148,7 @@ def test_criterion_07_lineshape_form_and_dephasing():
                        gamma_eg=rng.uniform(0, 2))
         sw = lineshape_sweep(p, fit_eps)
         held = rng.uniform(-10, 10, size=50)
-        ref = lineshape_sweep(p, held, fit=False)
+        ref = lineshape_sweep(p, held)
         worst = max(worst, sw.fit.held_out_residual(held, ref.values))
     assert worst < 1e-8
     eps = np.linspace(-10, 10, 41)

@@ -2,14 +2,18 @@ import logging
 
 import numpy as np
 import pytest
-from helpers import spectator_model, svd_gap, two_lu_separation
+from helpers import (basis_jump, dephasing_diagonal, spectator_model, svd_gap,
+                     two_lu_separation)
 
-from fanosolve import (Continuum, FanoParams, GeneralModel, SteadyStateError,
-                       absorption_rate, build_effective_liouvillian,
-                       build_general, continuum_coherences, fano_model,
+from fanosolve import (Continuum, DiscretizationSpec, FanoParams, GeneralModel,
+                       SteadyStateError, absorption_rate, build_effective_liouvillian,
+                       build_full_lindbladian,
+                       build_general, build_heff, continuum_coherences, fano_model,
                        two_band_demo_model, general_steady_state, general_sweep,
                        steady_state, three_level_model, two_continua_model)
-from fanosolve.superop import _stationary_solve, trace_row, vec
+from fanosolve.models import _discrete_lindblad
+from fanosolve.superop import (_stationary_solve, decay_table, hamiltonian_superop,
+                               lindblad_superop, trace_row, vec)
 
 
 class TestRecipeSpecializations:
@@ -19,7 +23,7 @@ class TestRecipeSpecializations:
         eff = build_effective_liouvillian(p)
         gel = build_general(fano_model(p), omega_L=p.epsilon)
         assert np.abs(gel.matrix - eff.matrix).max() < 1e-14
-        np.testing.assert_allclose(gel.heff, eff.heff, atol=1e-15)
+        np.testing.assert_allclose(gel.heff, build_heff(p), atol=1e-15)
         np.testing.assert_allclose(gel.C_coeffs[0], eff.C, atol=1e-15)
 
     def test_quantum_jump_beta_split(self):
@@ -178,6 +182,59 @@ def test_non_finite_omega_rejected(omega_L):
         build_general(two_band_demo_model(), omega_L=omega_L)
 
 
+def random_channel_model(rng) -> GeneralModel:
+    """N <= 3 levels with complex dipoles, a self-jump, repeated jumps and dephasings."""
+    n = int(rng.integers(1, 4))
+    dip = np.triu(rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n)), 1)
+    jumps = [(int(rng.integers(n)),) * 2 + (rng.uniform(0, 1),)]
+    dephasings = []
+    if n > 1:
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        twice = pairs[rng.integers(len(pairs))]
+        jumps += [(*twice, rng.uniform(0, 1)), (*twice, rng.uniform(0, 1))]
+        for k in rng.integers(len(pairs), size=3):
+            jumps.append((*pairs[k], rng.uniform(0, 1)))
+            dephasings.append((*pairs[rng.integers(len(pairs))], rng.uniform(0, 1)))
+    cont = Continuum(density=rng.uniform(0.1, 1.0), couplings=rng.uniform(-1, 1, n),
+                     relax_rates=[rng.uniform(0.2, 2.0), *rng.uniform(0, 1, n - 1)],
+                     dephase_rates=rng.uniform(0, 1, n))
+    return GeneralModel(energies=rng.uniform(-3, 3, n),
+                        photon_indices=rng.integers(0, 3, n), dipoles=dip + dip.conj().T,
+                        continua=(cont,), jumps=jumps, dephasings=dephasings)
+
+
+class TestRateForm:
+    def test_matches_textbook_superoperators(self):
+        rng = np.random.default_rng(51)
+        for _ in range(50):
+            m = random_channel_model(rng)
+            n = m.n_levels
+            h, gains, deph = _discrete_lindblad(m, rng.uniform(-3, 3))
+            w = rng.uniform(-1, 1, (n, n))
+            h = h - 1j * w @ w.T  # an anti-Hermitian part, as in H_eff
+            ref = hamiltonian_superop(h)
+            for frm, to, rate in m.jumps:
+                ref += basis_jump(frm, to, rate, n)
+            for i, j, rate in m.dephasings:
+                ref += dephasing_diagonal(i, j, rate, n)
+            gen = lindblad_superop(h, gains, decay_table(gains, deph))
+            assert np.abs(gen - ref).max() < 1e-14
+
+    def test_oracle_reads_the_same_levels(self):
+        rng = np.random.default_rng(52)
+        spec = DiscretizationSpec(bandwidth=10.0, levels_per_continuum=5)
+        for _ in range(50):
+            m = random_channel_model(rng)
+            omega_L = rng.uniform(-3, 3)
+            gel = build_general(m, omega_L)
+            fl = build_full_lindbladian(m, spec, omega_L)
+            nd = m.n_levels
+            assert np.array_equal(fl.gains[:, :nd], gel.gains)
+            assert np.array_equal(fl.decay[:nd, :nd], gel.decay)
+            herm = 0.5 * (gel.heff + gel.heff.conj().T)
+            assert np.abs(fl.hamiltonian[:nd, :nd] - herm).max() < 1e-15
+
+
 class TestKernelCertificate:
     def test_estimate_tracks_svd_gap(self):
         rng = np.random.default_rng(43)
@@ -267,7 +324,7 @@ class TestContinuumCoherences:
         m = fano_model(p)
         gel = build_general(m, omega_L=0.0)
         ss = general_steady_state(gel)
-        w = continuum_coherences(gel, ss, m)
+        w = continuum_coherences(ss, m)
         np.testing.assert_allclose(w, 0.0, atol=1e-13)
 
     def test_matches_single_resonance_formula(self):
@@ -275,7 +332,7 @@ class TestContinuumCoherences:
         m = fano_model(p)
         gel = build_general(m, omega_L=p.epsilon)
         ss = general_steady_state(gel)
-        w = continuum_coherences(gel, ss, m)
+        w = continuum_coherences(ss, m)
         # single-resonance closed form in reference-coupling units
         ref = 1j * (ss.rho[1, 0] + p.Omega * ss.rho[0, 0])
         assert abs(w[0, 0] - ref) < 1e-12

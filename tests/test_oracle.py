@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from helpers import (kronecker_elimination, realify, retained_positions, spectator_model,
-                     splu_steady_state, svd_gap, two_lu_separation)
+from helpers import (kronecker_elimination, kronecker_generator, realify, retained_positions,
+                     spectator_model, splu_steady_state, svd_gap, two_lu_separation)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,8 +58,9 @@ class TestSpec:
 class TestGenerator:
     def test_trace_annihilation_rows(self):
         fl = small_fl()
-        resid = trace_row(fl.n_total) @ fl.matrix
-        assert np.abs(resid).max() < 1e-12 * np.abs(fl.matrix.data).max()
+        gen = kronecker_generator(fl)
+        resid = trace_row(fl.n_total) @ gen
+        assert np.abs(resid).max() < 1e-12 * np.abs(gen.data).max()
 
     def test_trace_of_generator_action(self):
         fl = small_fl(FanoParams(0.3, 1.2, 0.2, Gamma_e=0.1, Gamma_cg=1.0,
@@ -68,11 +68,12 @@ class TestGenerator:
                                  gamma_ke=0.1), mk=15, w=15.0)
         n = fl.n_total
         rng = np.random.default_rng(31)
-        scale = np.abs(fl.matrix.data).max()
+        gen = kronecker_generator(fl)
+        scale = np.abs(gen.data).max()
         for _ in range(100):
             a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             rho = a + a.conj().T
-            out = fl.matrix @ vec(rho)
+            out = gen @ vec(rho)
             tr = out.reshape(n, n).T.trace()
             assert abs(tr) < 1e-12 * scale * np.abs(rho).max() * n
 
@@ -88,7 +89,7 @@ class TestGenerator:
                                              relax_rates=(0.0, 0.0)),))
         spec = DiscretizationSpec(bandwidth=10.0, levels_per_continuum=9)
         fl = build_full_lindbladian(m, spec, omega_L=0.5)
-        evals = np.linalg.eigvals(fl.matrix.toarray())
+        evals = np.linalg.eigvals(kronecker_generator(fl).toarray())
         assert np.abs(evals.real).max() < 1e-10
 
     def test_hamiltonian_structure(self):
@@ -159,11 +160,6 @@ class TestDirectAssembly:
         else:
             assert np.abs(sol.rho - splu_steady_state(fl)).max() < 1e-12
 
-    def test_sparse_generator_not_built(self):
-        fl = small_fl(mk=11, w=10.0)
-        oracle_steady_state(fl)
-        assert "matrix" not in vars(fl)
-
 
 class TestSteadyState:
     def test_ground_projector_without_drive(self):
@@ -185,15 +181,7 @@ class TestSteadyState:
         # same steady state as LU with a replaced trace row, no elimination
         fl = small_fl(mk=21, w=20.0)
         sol = oracle_steady_state(fl)
-        n = fl.n_total
-        L = fl.matrix.tolil()
-        L[0] = trace_row(n)
-        rhs = np.zeros(n * n, dtype=complex)
-        rhs[0] = 1.0
-        x = sp.linalg.splu(L.tocsc()).solve(rhs)
-        rho = x.reshape(n, n).T
-        rho = 0.5 * (rho + rho.conj().T)
-        assert np.abs(rho - sol.rho).max() < 1e-12
+        assert np.abs(splu_steady_state(fl) - sol.rho).max() < 1e-12
 
     def test_degenerate_kernel_rejected(self):
         # drive off and continuum relaxing only to the excited state leaves
