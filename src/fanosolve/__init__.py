@@ -18,11 +18,10 @@ from .models import (ComplexQ, Continuum, DensityMatrixP, FanoParams,
                      GeneralModel, validate_model)
 from .lineshape import (LineshapeDecomposition, RationalQuadratic, decompose,
                         fano_complex_q, fano_profile, fit_rational_quadratic)
-from .scattering import (PoleData, build_heff, ionization_sweep, n_ionized,
-                         poles, survival_probability, weak_field_rate)
-from .liouville import (EffectiveLiouvillian4, SteadyStateError, absorption_rate,
-                        build_effective_liouvillian, lineshape_sweep,
-                        steady_state, transport_rate)
+from .scattering import (PoleData, build_heff, ionization_sweep, poles,
+                         survival_probability, weak_field_rate)
+from .liouville import (SteadyStateError, absorption_rate, build_effective_liouvillian,
+                        lineshape_sweep, steady_state, transport_rate)
 from .general import (GeneralEffectiveLiouvillian, build_general,
                       continuum_coherences, fano_model, two_band_demo_model,
                       general_steady_state, general_sweep, three_level_model,
@@ -38,9 +37,9 @@ __all__ = [
     "validate_model",
     "LineshapeDecomposition", "RationalQuadratic", "decompose",
     "fano_complex_q", "fano_profile", "fit_rational_quadratic",
-    "PoleData", "build_heff", "ionization_sweep", "n_ionized", "poles",
+    "PoleData", "build_heff", "ionization_sweep", "poles",
     "survival_probability", "weak_field_rate",
-    "EffectiveLiouvillian4", "SteadyStateError", "absorption_rate",
+    "SteadyStateError", "absorption_rate",
     "build_effective_liouvillian", "lineshape_sweep", "steady_state",
     "transport_rate",
     "GeneralEffectiveLiouvillian", "build_general", "continuum_coherences",

@@ -17,9 +17,9 @@ coefficients are that same flux divided by the total relaxation rate of
 the continuum: flux balance at stationarity.
 
 Canned constructors cover the standard special cases: the single resonance
-(cross-checked against :mod:`fanosolve.liouville`), three discrete levels
-on one continuum, one level on two continua, and a ready-made three-level
-two-continuum demonstration.
+(the model every :mod:`fanosolve.liouville` solve builds), three discrete
+levels on one continuum, one level on two continua, and a ready-made
+three-level two-continuum demonstration.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def build_general(model: GeneralModel, omega_L: float = 0.0) -> GeneralEffective
         for b, gb in enumerate(cont.relax_rates):
             if gb:
                 ltilde[b * (n + 1)] += (gb / gtot) * wvec  # row of rho[b, b]
-        c_coeffs[a] = wvec / gtot
+        c_coeffs[a] = (2.0 / gtot) * vec(width).real
 
     return GeneralEffectiveLiouvillian(heff, ltilde, gains, decay_table(gains, deph),
                                        c_coeffs, n)
@@ -113,8 +113,8 @@ def _solve(gen: np.ndarray, gel: GeneralEffectiveLiouvillian):
     n = gel.n_levels
     x, _ = _stationary_solve(gen, trace_row(n) + gel.C_coeffs.sum(axis=0), trace_row(n))
     rho = unvec(x, n)
-    rho = 0.5 * (rho + np.swapaxes(rho.conj(), -1, -2))
-    return rho, np.real(gel.C_coeffs @ vec(rho)[..., None])[..., 0]
+    return (0.5 * (rho + np.swapaxes(rho.conj(), -1, -2)),
+            np.real(x @ gel.C_coeffs.T))
 
 
 def general_steady_state(gel: GeneralEffectiveLiouvillian) -> DensityMatrixP:

@@ -1,6 +1,8 @@
-"""Dissipative steady state of the single resonance: 4x4 effective Liouvillian.
+"""Dissipative steady state of the single resonance.
 
-Eliminating the flat continuum from the Lindblad dynamics leaves a closed
+The single resonance is the general recipe's two-level, one-continuum model
+(:func:`fanosolve.general.fano_model`), solved in the rotating frame at
+``omega_L = epsilon``.  Eliminating the flat continuum leaves a closed
 generator on the four components (gg, eg, ge, ee) of the discrete-subspace
 density matrix.  With ``K = 1 + iq`` and
 ``A = -Gamma_e - Omega^2 - i epsilon - gamma_eg - 1`` it reads
@@ -18,7 +20,8 @@ scattering H_eff holds entrywise; the quantum-jump matrix L_QJ returns the
 continuum flux to the populations, fraction beta to gg and 1-beta to ee.
 The ee diagonal necessarily carries ``-2 Gamma_e`` (the gg and ee rows of
 the generator cancel exactly, so one population row is redundant and can
-carry the normalization instead).
+carry the normalization instead).  The test suite checks this closed form
+entry by entry against the general build.
 
 The integrated continuum population follows from the steady state through
 the coefficient vector ``C = (2/Gamma_c) [Omega^2, Omega, Omega, 1]``,
@@ -34,12 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .general import (GeneralEffectiveLiouvillian, build_general, fano_model,
+                      general_steady_state, general_sweep)
 from .lineshape import FitResult, LineshapeDecomposition, decompose, fit_rational_quadratic
 from .models import DensityMatrixP, FanoParams
-from .superop import SteadyStateError, _stationary_solve, trace_row, transport_rate_from
+from .superop import SteadyStateError, transport_rate_from
 
 __all__ = [
-    "EffectiveLiouvillian4",
     "build_effective_liouvillian",
     "steady_state",
     "SteadyStateError",
@@ -52,71 +56,23 @@ __all__ = [
 logger = logging.getLogger("fanosolve")
 
 
-@dataclass(frozen=True)
-class EffectiveLiouvillian4:
-    """Effective generator on (gg, eg, ge, ee) and its continuum contraction.
-
-    ``matrix`` is the full 4x4 generator and ``C`` the coefficient vector
-    contracting the steady state into the integrated continuum population.
-    """
-
-    matrix: np.ndarray
-    C: np.ndarray
-
-
-def build_effective_liouvillian(p: FanoParams) -> EffectiveLiouvillian4:
-    """Assemble the 4x4 effective Liouvillian for the given parameters.
-
-    Built entrywise from the closed-form matrix elements; the test suite
-    checks it against the independent superoperator construction
-    ``hamiltonian_superop(H_eff) + L_QJ + jump(e->g, 2 Gamma_e) +
-    dephasing(gamma_eg)`` to 1e-14.
+def build_effective_liouvillian(p: FanoParams) -> GeneralEffectiveLiouvillian:
+    """The 4x4 effective Liouvillian: :func:`fano_model` built at ``omega_L = epsilon``.
 
     Continuum-level pure dephasings (``gamma_kg``, ``gamma_ke``) do not
     enter: in the wideband limit they only shift widths of eliminated
     coherences.  They are accepted and ignored with a logged notice.
     """
-    if p.gamma_kg != 0 or p.gamma_ke != 0:
-        logger.info(
-            "continuum pure dephasings gamma_kg=%g, gamma_ke=%g have no effect "
-            "on the wideband effective generator and are ignored",
-            p.gamma_kg, p.gamma_ke,
-        )
-    if p.Gamma_c <= 0:
-        raise ValueError("Gamma_cg + Gamma_ce must be positive")
-    q, Om, Ge, geg, beta = p.q, p.Omega, p.Gamma_e, p.gamma_eg, p.beta
-    K = 1.0 + 1j * q
-    A = -Ge - Om**2 - 1j * p.epsilon - geg - 1.0
-
-    L = np.zeros((4, 4), dtype=complex)
-    L[0] = [2.0 * Om**2 * (beta - 1.0), (2 * beta - 1 + 1j * q) * Om,
-            (2 * beta - 1 - 1j * q) * Om, 2.0 * beta + 2.0 * Ge]
-    L[1] = [-K.conjugate() * Om, A, 0.0, -K * Om]
-    L[2] = [-K * Om, 0.0, A.conjugate(), -K.conjugate() * Om]
-    L[3] = [2.0 * Om**2 * (1.0 - beta), (1 - 2 * beta - 1j * q) * Om,
-            (1 - 2 * beta + 1j * q) * Om, 2.0 * (1.0 - beta) - 2.0 - 2.0 * Ge]
-
-    C = (2.0 / p.Gamma_c) * np.array([Om**2, Om, Om, 1.0])
-    return EffectiveLiouvillian4(L, C)
-
-
-def _as_density(vec4: np.ndarray, nc: float) -> DensityMatrixP:
-    rho = np.array([[vec4[0], vec4[2]], [vec4[1], vec4[3]]], dtype=complex)
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrixP(rho, (nc,))
+    return build_general(fano_model(p), omega_L=p.epsilon)
 
 
 def steady_state(p: FanoParams) -> DensityMatrixP:
     """Unique steady state of the effective generator, trace-plus-continuum normalized.
 
-    Uses the certified kernel solve shared by every solver, with the
-    normalization row ``trace + C``.  Raises :class:`SteadyStateError` when
-    the kernel is not one-dimensional, e.g. with all relaxation channels and
-    the drive switched off.
+    Raises :class:`SteadyStateError` when the kernel is not one-dimensional,
+    e.g. with all relaxation channels and the drive switched off.
     """
-    eff = build_effective_liouvillian(p)
-    x, _ = _stationary_solve(eff.matrix, trace_row(2) + eff.C, trace_row(2))
-    return _as_density(x, float(np.real(eff.C @ x)))
+    return general_steady_state(build_effective_liouvillian(p))
 
 
 def transport_rate(p: FanoParams) -> float:
@@ -191,18 +147,14 @@ def lineshape_sweep(p: FanoParams, epsilons,
     epsilons = np.asarray(epsilons, dtype=float)
     if not np.all(np.isfinite(epsilons)):
         raise ValueError("epsilons must be finite")
-    # the detuning enters only the eg and ge diagonals: L(eps) = L(0) + eps D
-    eff = build_effective_liouvillian(p.with_epsilon(0.0))
-    stack = eff.matrix + epsilons[..., None, None] * np.diag([0.0, -1j, 1j, 0.0])
-    x, _ = _stationary_solve(stack, trace_row(2) + eff.C, trace_row(2))
-    nc = np.real(x @ eff.C)
-    rho_gg = x[..., 0].real
+    rho, pops = general_sweep(fano_model(p), epsilons)
+    rho_gg = rho[..., 0, 0].real
     if observable == "continuum_pop":
-        values = nc
+        values = pops[..., 0]
     elif observable == "transport_rate":
-        values = transport_rate_from([p.Gamma_c], nc[..., None], rho_gg)
+        values = transport_rate_from([p.Gamma_c], pops, rho_gg)
     else:
-        values = _absorption(p, rho_gg, 0.5 * (x[..., 1] + x[..., 2].conj()))
+        values = _absorption(p, rho_gg, rho[..., 1, 0])
 
     fit_res = None
     dec = None

@@ -29,7 +29,6 @@ __all__ = [
     "survival_rate",
     "weak_field_rate",
     "ionization_sweep",
-    "n_ionized",
 ]
 
 
@@ -159,18 +158,3 @@ def ionization_sweep(epsilons, times, q: float, Omega: float) -> np.ndarray:
     s, _ = _survival(FanoParams(0.0, q, Omega), epsilons, np.reshape(times, (-1, 1)))
     return 1.0 - s
 
-
-def n_ionized(p: FanoParams, T: float, flux: float = 1.0,
-              method: str = "exact") -> float:
-    """Number of detected ions after an interaction window of length T.
-
-    ``method="exact"`` integrates the pole solution, ``flux * P(T)``.
-    ``method="fano-linear"`` is the linear-in-T approximation
-    ``flux * T * weak_field_rate`` whose detuning dependence is an exact
-    Fano profile.
-    """
-    if method == "exact":
-        return flux * (1.0 - survival_probability(p, T))
-    if method == "fano-linear":
-        return flux * T * weak_field_rate(p.epsilon, p.q, p.Omega)
-    raise ValueError(f"unknown method {method!r}")

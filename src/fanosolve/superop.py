@@ -49,7 +49,7 @@ __all__ = [
     "transport_rate_from",
 ]
 
-#: Required kernel separation, in units of ``eps * max|gen|``.
+#: Required kernel separation, in units of ``eps * s`` (see :func:`_stationary_solve`).
 _KERNEL_SEP = 1e6
 
 
@@ -75,8 +75,12 @@ def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
     must restore for the physical trace bookkeeping to close.
     """
     h = np.asarray(h, dtype=complex)
-    eye = np.eye(h.shape[0])
-    return -1j * (np.kron(h, eye) - np.kron(eye, h.conj()))
+    n = h.shape[0]
+    eye = np.eye(n)
+    # the two Kronecker products, by broadcasting over (i, k, j, l)
+    out = (h[:, None, :, None] * eye[None, :, None, :]
+           - eye[:, None, :, None] * h.conj()[None, :, None, :])
+    return -1j * out.reshape(n * n, n * n)
 
 
 def jump_superop(c: np.ndarray, rate: float):
@@ -154,20 +158,21 @@ def _stationary_solve(gen: np.ndarray, norm_row: np.ndarray, null_row: np.ndarra
     population row, is redundant (the population rows sum to zero), so
     ``B_norm``, the generator with ``norm_row`` in row 0, is factorized
     once and solved against ``[e0 | P]`` for k fixed probe columns P;
-    column 0 is the steady state x.  The certificate bounds the
-    trace-bordered matrix ``B_null`` (``null_row`` scaled to ``max|gen|``
-    in row 0), which is nonsingular exactly when the kernel is
-    one-dimensional.  As ``B_null = B_norm + e0 v^T`` with ``v = max|gen|
+    column 0 is the steady state x.  The scale s is ``max|gen|``, or
+    ``max|norm_row|`` where the generator is exactly zero (one level).  The
+    certificate bounds the trace-bordered matrix ``B_null`` (``null_row``
+    scaled to s in row 0), which is nonsingular exactly when the kernel is
+    one-dimensional.  As ``B_null = B_norm + e0 v^T`` with ``v = s
     null_row - norm_row``, Sherman-Morrison gives ``B_null^-1 P = Z - x
     (v.Z) / (1 + v.x)`` from ``Z = B_norm^-1 P``, and ``sqrt(k) /
     |B_null^-1 P|_F``, an estimate of ``1 / |B_null^-1|_F <=
-    sigma_min(B_null)``, must reach ``_KERNEL_SEP * eps * max|gen|`` (a
+    sigma_min(B_null)``, must reach ``_KERNEL_SEP * eps * s`` (a
     non-finite estimate counts as 0).  The normalization must not cancel
     on the kernel, ``1 / (|norm_row| . |x|) >= 1e-8``, and the scaled
-    residual ``max|gen x| / (max|gen| max|x|)`` must not exceed 1e-8.
+    residual ``max|gen x| / (s max|x|)`` must not exceed 1e-8.
 
     Returns ``(x, separation)``: the normalized kernel vectors, shape
-    ``(..., d)``, and the estimate in units of ``eps * max|gen|``.  Raises
+    ``(..., d)``, and the estimate in units of ``eps * s``.  Raises
     :class:`SteadyStateError`, naming the first failing point of a stack,
     for non-finite entries, a degenerate kernel, a normalization that
     vanishes on the kernel or a large residual.
@@ -183,6 +188,7 @@ def _stationary_solve(gen: np.ndarray, norm_row: np.ndarray, null_row: np.ndarra
     if np.any(bad):
         k, at = _first(bad, batched)
         raise SteadyStateError(f"generator has non-finite entries{at}")
+    scale = np.where(scale > 0, scale, np.abs(norm_row).max())
 
     d = gen.shape[-1]
     a = gen.copy()

@@ -94,7 +94,7 @@ def steady_state_cramer(p: FanoParams) -> DensityMatrixP:
         mi[:, i] = sys_.b
         vec4[i] = np.linalg.det(mi)
     vec4[3] = det_m
-    vec4, nc = _normalize(vec4, eff.C)
+    vec4, nc = _normalize(vec4, eff.C_coeffs[0])
     rho = np.array([[vec4[0], vec4[2]], [vec4[1], vec4[3]]], dtype=complex)
     return DensityMatrixP(0.5 * (rho + rho.conj().T), (nc,))
 

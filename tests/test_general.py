@@ -6,8 +6,7 @@ from helpers import (basis_jump, dephasing_diagonal, spectator_model, svd_gap,
                      two_lu_separation)
 
 from fanosolve import (Continuum, DiscretizationSpec, FanoParams, GeneralModel,
-                       SteadyStateError, absorption_rate, build_effective_liouvillian,
-                       build_full_lindbladian,
+                       SteadyStateError, absorption_rate, build_full_lindbladian,
                        build_general, build_heff, continuum_coherences, fano_model,
                        two_band_demo_model, general_steady_state, general_sweep,
                        steady_state, three_level_model, two_continua_model)
@@ -20,11 +19,11 @@ class TestRecipeSpecializations:
     def test_two_level_matches_single_resonance(self):
         p = FanoParams(0.7, 1.3, 0.2, Gamma_e=0.15, Gamma_cg=0.8, Gamma_ce=0.4,
                        gamma_eg=0.3)
-        eff = build_effective_liouvillian(p)
         gel = build_general(fano_model(p), omega_L=p.epsilon)
-        assert np.abs(gel.matrix - eff.matrix).max() < 1e-14
-        np.testing.assert_allclose(gel.heff, build_heff(p), atol=1e-15)
-        np.testing.assert_allclose(gel.C_coeffs[0], eff.C, atol=1e-15)
+        np.testing.assert_allclose(gel.heff, build_heff(p), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(gel.C_coeffs[0],
+                                   (2 / 1.2) * np.array([0.04, 0.2, 0.2, 1.0]),
+                                   rtol=0, atol=1e-15)
 
     def test_quantum_jump_beta_split(self):
         p = FanoParams(0.0, 1.0, 0.3, Gamma_cg=0.75, Gamma_ce=0.25)
@@ -90,19 +89,6 @@ class TestGeneralSteadyState:
         ss = general_steady_state(build_general(fano_model(p), omega_L=0.0))
         np.testing.assert_allclose(ss.rho, np.diag([1.0, 0.0]), atol=1e-12)
         assert ss.continuum_pops[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_matches_single_resonance_solver(self):
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            p = FanoParams(rng.uniform(-5, 5), rng.uniform(-2, 2),
-                           rng.uniform(0.01, 1.0), rng.uniform(0, 0.5),
-                           Gamma_cg=rng.uniform(0.2, 2.0),
-                           Gamma_ce=rng.uniform(0.0, 1.0),
-                           gamma_eg=rng.uniform(0, 1))
-            a = steady_state(p)
-            b = general_steady_state(build_general(fano_model(p), omega_L=p.epsilon))
-            assert np.abs(a.rho - b.rho).max() < 1e-12
-            assert abs(a.continuum_pops[0] - b.continuum_pops[0]) < 1e-12
 
     @pytest.mark.parametrize("v", [0.05, 0.1])
     def test_degenerate_kernel_rejected(self, v):
@@ -261,6 +247,27 @@ class TestKernelCertificate:
         norm = gel.C_coeffs[0] - (gel.C_coeffs[0] @ x) * row
         with pytest.raises(SteadyStateError, match="normalization vanishes on the kernel"):
             _stationary_solve(gel.matrix, norm, row)
+
+    @pytest.mark.parametrize("conts, jumps", [
+        (((1 / np.pi, 1.0, 1.0),), ()),
+        (((1 / np.pi, 1.0, 1.0),), ((0, 0, 0.5),)),
+        (((0.5, 0.7, 0.3),), ((0, 0, 2.0),)),
+        (((0.2, 1.5, 4.0), (3.0, 0.1, 0.05)), ()),
+    ], ids=["unit", "self_jump", "scaled_self_jump", "two_continua"])
+    def test_one_level_models_solve(self, conts, jumps):
+        # the 1 x 1 generator is exactly zero; the continuum weight alone
+        # fixes rho_00 = 1 / (1 + C) with C = sum_a 2 pi n_a V_a^2 / Gamma_a
+        model = GeneralModel(
+            energies=(0.0,), photon_indices=(0,), dipoles=np.zeros((1, 1)),
+            continua=tuple(Continuum(density=n, couplings=(v,), relax_rates=(g,))
+                           for n, v, g in conts),
+            jumps=jumps)
+        c = np.array([2 * np.pi * n * v**2 / g for n, v, g in conts])
+        ss = general_steady_state(build_general(model, omega_L=0.3))
+        rho, pops = general_sweep(model, [-1.0, 0.0, 2.0])
+        for r, p in [(ss.rho, ss.continuum_pops), *zip(rho, pops)]:
+            assert abs(r[0, 0] - 1 / (1 + c.sum())) < 1e-14
+            np.testing.assert_allclose(p, c / (1 + c.sum()), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("g", [1e-12, 1e-11, 1e-10])
     def test_weakly_relaxing_spectator_rejected(self, g):

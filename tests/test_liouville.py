@@ -39,6 +39,24 @@ class TestBuild:
         np.testing.assert_allclose(build_effective_liouvillian(p).matrix, ref,
                                    rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("beta", [1.0, 0.3])
+    def test_closed_form_matrix_general_beta(self, beta):
+        # the general-beta rows of the liouville module docstring, entry by entry
+        p = FanoParams(0.7, 1.3, 0.2, Gamma_e=0.15, Gamma_cg=beta, Gamma_ce=1 - beta,
+                       gamma_eg=0.3)
+        K = 1 + 1.3j
+        W, Ge, b = 0.2, 0.15, beta
+        A = -Ge - W**2 - 0.7j - 0.3 - 1
+        ref = np.array([
+            [2 * W**2 * (b - 1), (2 * b - 1 + 1.3j) * W, (2 * b - 1 - 1.3j) * W, 2 * b + 2 * Ge],
+            [-K.conjugate() * W, A, 0, -K * W],
+            [-K * W, 0, A.conjugate(), -K.conjugate() * W],
+            [2 * W**2 * (1 - b), (1 - 2 * b - 1.3j) * W, (1 - 2 * b + 1.3j) * W,
+             2 * (1 - b) - 2 - 2 * Ge],
+        ])
+        np.testing.assert_allclose(build_effective_liouvillian(p).matrix, ref,
+                                   rtol=0, atol=1e-15)
+
     def test_A_substitution(self):
         p = FanoParams(0.0, 1.0, 0.1, Gamma_e=0.0, gamma_eg=0.0)
         assert build_effective_liouvillian(p).matrix[1, 1] == pytest.approx(-1.01)
@@ -141,7 +159,7 @@ class TestSteadyState:
         rng = np.random.default_rng(17)
         for p in random_params(rng, 500, beta_lt_1=True):
             eff = build_effective_liouvillian(p)
-            _, sep = _stationary_solve(eff.matrix, trace_row(2) + eff.C, trace_row(2))
+            _, sep = _stationary_solve(eff.matrix, trace_row(2) + eff.C_coeffs[0], trace_row(2))
             assert 0.1 < sep / svd_gap(eff.matrix) < 10
 
     def test_one_lu_certificate_matches_two_lu(self):
@@ -150,7 +168,7 @@ class TestSteadyState:
         params.append(FanoParams(0.0, 1.0, 1e7, Gamma_cg=0.0, Gamma_ce=1.0))  # saturated
         for p in params:
             eff = build_effective_liouvillian(p)
-            _, sep = _stationary_solve(eff.matrix, trace_row(2) + eff.C, trace_row(2))
+            _, sep = _stationary_solve(eff.matrix, trace_row(2) + eff.C_coeffs[0], trace_row(2))
             assert sep == pytest.approx(two_lu_separation(eff.matrix, trace_row(2)), rel=1e-2)
 
     @pytest.mark.parametrize("row", [np.array([1.0, 0.3, 0.3, -1.0]), np.zeros(4)],

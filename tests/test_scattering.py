@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from fanosolve import (FanoParams, build_heff, fano_profile, ionization_sweep,
-                       n_ionized, poles, survival_probability, weak_field_rate)
+                       poles, survival_probability, weak_field_rate)
 from fanosolve.scattering import survival_rate
 
 # exact two-pole confluence: the radicand (2+i)^2 - 2(1+2i) - 1 vanishes
@@ -229,22 +229,6 @@ class TestIonizationSweep:
         eps = np.linspace(-10, 10, 81)
         p = ionization_sweep(eps, np.array([1.0]), q=1.0, Omega=5.0)[0]
         assert p.max() / p.min() < 1.5
-
-
-class TestNIonized:
-    def test_exact_variant(self):
-        p = FanoParams(0.5, 1.0, 0.05)
-        assert n_ionized(p, 20.0, flux=3.0) == pytest.approx(
-            3.0 * (1 - survival_probability(p, 20.0)))
-
-    def test_fano_linear_variant(self):
-        p = FanoParams(0.5, 1.0, 0.01)
-        assert n_ionized(p, 20.0, method="fano-linear") == pytest.approx(
-            20.0 * weak_field_rate(0.5, 1.0, 0.01))
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            n_ionized(FanoParams(0, 1, 0.1), 1.0, method="bogus")
 
 
 def test_rate_hierarchy_weak_field():
