@@ -4,6 +4,9 @@ The same elimination recipe covers any discrete-continuum layout.  Here the
 parameter set of demos/two_band_demo.yaml (two driven excited levels, two bands with
 different couplings) produces two asymmetric resonances in the total
 continuum population as the drive frequency sweeps across both levels.
+At each resonance the script prints the stationary populations and the
+photon absorption rate, which the same observable layer computes for any
+model.
 
 Run:  python demos/03_three_levels_two_continua.py
 Equivalent CLI:  fanosolve general --config demos/two_band_demo.yaml --out sweep.csv
@@ -13,7 +16,7 @@ import pathlib
 
 import numpy as np
 
-from fanosolve import general_sweep
+from fanosolve import general_sweep, observable
 from fanosolve.config import load_config
 
 cfg = load_config(str(pathlib.Path(__file__).parent / "two_band_demo.yaml"))
@@ -21,6 +24,7 @@ model = cfg.model
 grid = cfg.sweep.grid()
 
 rho, pops = general_sweep(model, grid)
+absorption = observable(model, "absorption", rho, pops)
 pop_a, pop_b = pops.T
 ground = rho[:, 0, 0].real
 
@@ -30,7 +34,8 @@ print(f"swept omega_L over [{grid[0]:g}, {grid[-1]:g}] in {len(grid)} steps")
 print(f"resonances at omega_L = " + ", ".join(f"{grid[p]:.2f}" for p in peaks))
 for p in peaks:
     print(f"  at {grid[p]:.2f}: continuum A holds {pop_a[p]:.4f}, "
-          f"B holds {pop_b[p]:.4f}, ground keeps {ground[p]:.4f}")
+          f"B holds {pop_b[p]:.4f}, ground keeps {ground[p]:.4f}, "
+          f"absorbs {absorption[p]:.4e} photons per unit time")
 
 try:
     import matplotlib

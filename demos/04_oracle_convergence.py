@@ -11,25 +11,19 @@ solution (and of this discretization class).
 Run:  python demos/04_oracle_convergence.py
 """
 
-from fanosolve import (DiscretizationSpec, FanoParams, convergence_study,
-                       fano_model, steady_state, transport_rate)
+from fanosolve import DiscretizationSpec, FanoParams, convergence_study, fano_model
 
 params = FanoParams(epsilon=0.5, q=1.0, Omega=0.05, Gamma_e=0.1, Gamma_cg=2.0)
-ss = steady_state(params)
-nc_ref = ss.continuum_pops[0]
-r_ref = transport_rate(params)
-print(f"effective solution: continuum population {nc_ref:.6e}, "
-      f"transfer rate {r_ref:.6e}")
-
 ladder = [
     DiscretizationSpec(bandwidth=25.0, levels_per_continuum=26),
     DiscretizationSpec(bandwidth=50.0, levels_per_continuum=51),
     DiscretizationSpec(bandwidth=100.0, levels_per_continuum=101),
     DiscretizationSpec(bandwidth=200.0, levels_per_continuum=201),
 ]
-study = convergence_study(fano_model(params), ladder, params.epsilon,
-                          nc_ref, r_ref)
+study = convergence_study(fano_model(params), ladder, params.epsilon)
 
+print(f"effective solution: continuum population {study.nc_reference:.6e}, "
+      f"transfer rate {study.r_reference:.6e}")
 print()
 print("  bandwidth  levels   population      rel.error    rate rel.error")
 for w, mk, nc, enc, er in zip(study.bandwidths, study.levels,

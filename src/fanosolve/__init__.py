@@ -22,10 +22,10 @@ from .scattering import (PoleData, build_heff, ionization_sweep, poles,
                          survival_probability, weak_field_rate)
 from .liouville import (SteadyStateError, absorption_rate, build_effective_liouvillian,
                         lineshape_sweep, steady_state, transport_rate)
-from .general import (GeneralEffectiveLiouvillian, build_general,
+from .general import (OBSERVABLES, GeneralEffectiveLiouvillian, build_general,
                       continuum_coherences, fano_model, two_band_demo_model,
-                      general_steady_state, general_sweep, three_level_model,
-                      two_continua_model)
+                      general_steady_state, general_sweep, observable,
+                      three_level_model, two_continua_model)
 from .oracle import (ConvergenceStudy, DiscretizationSpec, FullLindbladian,
                      build_full_lindbladian, convergence_study,
                      oracle_steady_state)
@@ -44,7 +44,7 @@ __all__ = [
     "transport_rate",
     "GeneralEffectiveLiouvillian", "build_general", "continuum_coherences",
     "fano_model", "two_band_demo_model", "general_steady_state", "general_sweep",
-    "three_level_model", "two_continua_model",
+    "OBSERVABLES", "observable", "three_level_model", "two_continua_model",
     "ConvergenceStudy", "DiscretizationSpec", "FullLindbladian",
     "build_full_lindbladian", "convergence_study", "oracle_steady_state",
     "__version__",

@@ -26,13 +26,12 @@ import numpy as np
 
 from . import __version__
 from .config import load_config
-from .general import build_general, general_steady_state, general_sweep
+from .general import OBSERVABLES, general_sweep
 from .lineshape import decompose, fit_rational_quadratic
 from .liouville import SteadyStateError, lineshape_sweep
 from .models import FanoParams
 from .oracle import convergence_study
 from .scattering import _survival
-from .superop import transport_rate_from
 
 __all__ = ["main"]
 
@@ -187,17 +186,10 @@ def cmd_decompose(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = load_config(args.config)
-    model = cfg.model
     ladder = cfg.run.oracle
     if not ladder:
         raise SystemExit("config has no run.oracle ladder")
-    omega_l = cfg.sweep.start
-    gel = build_general(model, omega_L=omega_l)
-    ss = general_steady_state(gel)
-    nc_ref = float(sum(ss.continuum_pops))
-    r_ref = float(transport_rate_from([sum(c.relax_rates) for c in model.continua],
-                                      ss.continuum_pops, ss.rho[0, 0].real))
-    study = convergence_study(model, ladder, omega_l, nc_ref, r_ref)
+    study = convergence_study(cfg.model, ladder, cfg.sweep.start)
     rows = zip(study.bandwidths, study.levels, study.nc_oracle,
                np.full_like(study.nc_oracle, study.nc_reference),
                study.nc_errors, study.r_oracle, study.r_errors)
@@ -254,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--eps", type=_parse_grid, default=np.linspace(-10, 10, 401),
                     help="detuning grid epsilon start:stop:npoints")
     st.add_argument("--observable", default="continuum_pop",
-                    choices=("continuum_pop", "transport_rate", "absorption"),
+                    choices=OBSERVABLES,
                     help="columns to emit: integrated continuum population, "
                          "transfer rate r, or photon absorption rate")
     st.add_argument("--out", default=None, help="CSV output path (default stdout)")

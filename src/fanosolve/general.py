@@ -31,8 +31,8 @@ import numpy as np
 
 from .models import (Continuum, DensityMatrixP, FanoParams, GeneralModel,
                      _discrete_lindblad, validate_model)
-from .superop import (_stationary_solve, decay_table, hamiltonian_superop, lindblad_superop,
-                      trace_row, unvec, vec)
+from .superop import (SteadyStateError, _stationary_solve, decay_table, hamiltonian_superop,
+                      lindblad_superop, trace_row, unvec, vec)
 
 __all__ = [
     "GeneralEffectiveLiouvillian",
@@ -40,6 +40,8 @@ __all__ = [
     "general_steady_state",
     "general_sweep",
     "continuum_coherences",
+    "OBSERVABLES",
+    "observable",
     "fano_model",
     "three_level_model",
     "two_continua_model",
@@ -147,18 +149,55 @@ def general_sweep(model: GeneralModel, omegas):
     return _solve(gel.matrix + omegas[..., None, None] * shift, gel)
 
 
-def continuum_coherences(state: DensityMatrixP, model: GeneralModel) -> np.ndarray:
+def continuum_coherences(model: GeneralModel, rho) -> np.ndarray:
     """Coupling-weighted coherence integrals between each continuum and each level.
 
     Entry (a, j) reconstructs the integral of the continuum-a coherence
     against discrete level j at stationarity from the first-order (and, by
     the single-pole rule, exact) elimination formula: every surviving
     integral contributes the same energy-independent constant, leaving
-    ``i n_a pi sum_i V_i^(a) rho_ij`` in reference-coupling units.
+    ``i n_a pi sum_i V_i^(a) rho_ij`` in reference-coupling units.  ``rho``
+    is one state or a stack, shape ``(..., N, N)``; the result has shape
+    ``(..., M, N)``.  The absorption rate of :func:`observable` reads them.
     """
     v = np.array([c.couplings for c in model.continua])  # (M, N)
     dens = np.array([c.density for c in model.continua])
-    return 1j * np.pi * dens[:, None] * (v @ state.rho)
+    return 1j * np.pi * dens[:, None] * (v @ rho)
+
+
+#: Stationary observables of :func:`observable`.
+OBSERVABLES = ("continuum_pop", "transport_rate", "absorption")
+
+
+def observable(model: GeneralModel, name: str, rho, pops) -> np.ndarray:
+    """Stationary observable of a state or a stack, ``rho (..., N, N)``, ``pops (..., M)``.
+
+    ``continuum_pop`` is ``sum_a n_a``; ``transport_rate`` is ``sum_a
+    Gamma_a n_a / rho_gg`` (``Gamma_a`` the total relaxation rate of
+    continuum a; ``rho_gg <= 1e-12`` raises :class:`SteadyStateError`);
+    ``absorption`` is ``-i sum_ij (p_j - p_i) d_ij rho_ji + 2 sum_a sum_i
+    (p_a - p_i) V_i^(a) Im K_ai`` (p the photon indices, d the dipoles, K
+    the :func:`continuum_coherences`), which at steady state equals the
+    photon-weighted return flux of the jumps and the continuum relaxation.
+    Other names raise ``ValueError`` listing :data:`OBSERVABLES`.
+    """
+    pops = np.asarray(pops, dtype=float)
+    if name == "continuum_pop":
+        return pops.sum(axis=-1)
+    if name == "transport_rate":
+        rho_gg = np.real(rho[..., 0, 0])
+        if not np.all(rho_gg > 1e-12):
+            raise SteadyStateError("rho_gg = 0 at steady state; transfer rate undefined")
+        return pops @ np.array([sum(c.relax_rates) for c in model.continua]) / rho_gg
+    if name == "absorption":
+        p = np.asarray(model.photon_indices, dtype=float)
+        p_a = np.array([c.photon_index for c in model.continua], dtype=float)
+        v = np.array([c.couplings for c in model.continua])
+        direct = -1j * np.einsum("ij,...ji->...", (p - p[:, None]) * model.dipoles, rho)
+        band = np.einsum("ai,...ai->...", (p_a[:, None] - p) * v,
+                         continuum_coherences(model, rho).imag)
+        return direct.real + 2.0 * band
+    raise ValueError(f"observable must be one of {OBSERVABLES}, got {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,10 @@ import numpy as np
 
 from .general import (GeneralEffectiveLiouvillian, build_general, fano_model,
                       general_steady_state, general_sweep)
+from .general import observable as _observable
 from .lineshape import FitResult, LineshapeDecomposition, decompose, fit_rational_quadratic
 from .models import DensityMatrixP, FanoParams
-from .superop import SteadyStateError, transport_rate_from
+from .superop import SteadyStateError
 
 __all__ = [
     "build_effective_liouvillian",
@@ -83,28 +84,22 @@ def transport_rate(p: FanoParams) -> float:
     saturated ground state.
     """
     ss = steady_state(p)
-    return float(transport_rate_from([p.Gamma_c], ss.continuum_pops, ss.rho[0, 0].real))
-
-
-def _absorption(p: FanoParams, rho_gg, rho_eg):
-    return 2.0 * p.Omega * np.imag(p.q * rho_eg + 1j * (rho_eg + p.Omega * rho_gg))
+    return float(_observable(fano_model(p), "transport_rate", ss.rho, ss.continuum_pops))
 
 
 def absorption_rate(p: FanoParams, ss: DensityMatrixP | None = None) -> float:
     """Stationary photon absorption rate of the driven system.
 
-    Dipole-weighted imaginary part of the optical coherences,
-    ``2 Omega Im[q rho_eg + i(rho_eg + Omega rho_gg)]``.  At steady state
-    this equals the total dissipative return flux into the ground state,
-    ``beta Gamma_c n_c + 2 Gamma_e rho_ee`` (checked in the tests), and at
-    weak field it reduces to the Fano rate.
+    :func:`fanosolve.general.observable` of :func:`fano_model`, here
+    ``2 Omega Im[q rho_eg + i(rho_eg + Omega rho_gg)]``, from the steady
+    state ``ss`` if given.  At steady state this equals the total
+    dissipative return flux into the ground state, ``beta Gamma_c n_c + 2
+    Gamma_e rho_ee`` (checked in the tests), and at weak field it reduces
+    to the Fano rate.
     """
     if ss is None:
         ss = steady_state(p)
-    return float(_absorption(p, ss.rho[0, 0], ss.rho[1, 0]))
-
-
-_OBSERVABLES = ("continuum_pop", "transport_rate", "absorption")
+    return float(_observable(fano_model(p), "absorption", ss.rho, ss.continuum_pops))
 
 
 @dataclass(frozen=True)
@@ -134,27 +129,20 @@ def lineshape_sweep(p: FanoParams, epsilons,
                     observable: str = "continuum_pop") -> SweepResult:
     """Sweep the detuning and summarize the lineshape.
 
-    ``observable`` is one of ``continuum_pop``, ``transport_rate`` or
-    ``absorption``.  When the grid has at least six distinct points, the
+    ``observable`` is one of :data:`fanosolve.general.OBSERVABLES`, computed
+    by :func:`fanosolve.general.observable`; another name raises
+    ``ValueError``.  When the grid has at least six distinct points, the
     sweep is least-squares fitted by a rational quadratic and
     decomposed into (Delta, sigma, q, D); fit failure is recorded, not
     raised.  All points are certified and solved in one batched call; a
     failing point raises :class:`SteadyStateError` naming its index, and
     non-finite ``epsilons`` raise ``ValueError``.
     """
-    if observable not in _OBSERVABLES:
-        raise ValueError(f"observable must be one of {_OBSERVABLES}")
     epsilons = np.asarray(epsilons, dtype=float)
     if not np.all(np.isfinite(epsilons)):
         raise ValueError("epsilons must be finite")
-    rho, pops = general_sweep(fano_model(p), epsilons)
-    rho_gg = rho[..., 0, 0].real
-    if observable == "continuum_pop":
-        values = pops[..., 0]
-    elif observable == "transport_rate":
-        values = transport_rate_from([p.Gamma_c], pops, rho_gg)
-    else:
-        values = _absorption(p, rho_gg, rho[..., 1, 0])
+    model = fano_model(p)
+    values = _observable(model, observable, *general_sweep(model, epsilons))
 
     fit_res = None
     dec = None

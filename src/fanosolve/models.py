@@ -12,7 +12,7 @@ Objects defined here are frozen value types and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,10 +89,6 @@ class FanoParams:
         if tot <= 0:
             raise ValueError("beta undefined: Gamma_cg + Gamma_ce must be positive")
         return self.Gamma_cg / tot
-
-    def with_epsilon(self, epsilon: float) -> "FanoParams":
-        """Copy of these parameters at a different detuning (sweep helper)."""
-        return replace(self, epsilon=float(epsilon))
 
 
 @dataclass(frozen=True)
@@ -304,17 +300,3 @@ class DensityMatrixP:
     def total(self) -> float:
         """Trace plus continuum populations; 1 for a normalized state."""
         return float(np.real(np.trace(self.rho)) + sum(self.continuum_pops))
-
-    def check(self, herm_tol: float = 1e-10, pop_floor: float = -1e-10,
-              norm_tol: float = 1e-10) -> list[str]:
-        """Return violated state invariants (empty list when physical)."""
-        out = []
-        if np.max(np.abs(self.rho - self.rho.conj().T), initial=0.0) > herm_tol:
-            out.append("rho is not Hermitian")
-        if np.min(self.populations, initial=0.0) < pop_floor:
-            out.append("negative discrete population")
-        if min(self.continuum_pops, default=0.0) < pop_floor:
-            out.append("negative continuum population")
-        if abs(self.total - 1.0) > norm_tol:
-            out.append(f"normalization error {self.total - 1.0:.3e}")
-        return out

@@ -34,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .general import build_general, general_steady_state, observable
 from .models import DensityMatrixP, GeneralModel, _discrete_lindblad, validate_model
-from .superop import SteadyStateError, _stationary_solve, decay_table, transport_rate_from
+from .superop import SteadyStateError, _stationary_solve, decay_table
 
 __all__ = [
     "DiscretizationSpec",
@@ -43,7 +44,6 @@ __all__ = [
     "build_full_lindbladian",
     "OracleSolution",
     "oracle_steady_state",
-    "transport_rate_oracle",
     "ConvergenceStudy",
     "convergence_study",
 ]
@@ -98,7 +98,6 @@ class FullLindbladian:
     n_discrete: int
     n_total: int
     continuum_slices: tuple[slice, ...]
-    total_relax_rates: tuple[float, ...]
 
 
 def build_full_lindbladian(model: GeneralModel, spec: DiscretizationSpec,
@@ -157,9 +156,8 @@ def build_full_lindbladian(model: GeneralModel, spec: DiscretizationSpec,
             deph[:nd, sl] += np.asarray(cont.dephase_rates)[:, None]
         off += mk
 
-    totals = tuple(float(sum(c.relax_rates)) for c in model.continua)
     decay = decay_table(gains, deph)
-    return FullLindbladian(h, gains, decay, nd, ntot, tuple(slices), totals)
+    return FullLindbladian(h, gains, decay, nd, ntot, tuple(slices))
 
 
 @dataclass(frozen=True)
@@ -365,12 +363,6 @@ def oracle_steady_state(fl: FullLindbladian) -> OracleSolution:
     return OracleSolution(rho, reduced, residual, min_eig, float(sep))
 
 
-def transport_rate_oracle(fl: FullLindbladian, sol: OracleSolution) -> float:
-    """Ground-to-continuum transfer rate from the discretized steady state."""
-    return float(transport_rate_from(fl.total_relax_rates, sol.reduced.continuum_pops,
-                                     sol.rho[0, 0].real))
-
-
 @dataclass(frozen=True)
 class ConvergenceStudy:
     """Error of the effective solution against the discretized one per rung.
@@ -405,34 +397,37 @@ class ConvergenceStudy:
         return bool(np.all(np.diff(e) < 0))
 
 
-def convergence_study(model: GeneralModel, specs, omega_L: float,
-                      nc_reference: float, r_reference: float) -> ConvergenceStudy:
+def convergence_study(model: GeneralModel, specs, omega_L: float) -> ConvergenceStudy:
     """Run the discretized solver along a refinement ladder.
 
     ``specs`` is an iterable of :class:`DiscretizationSpec` ordered from
-    coarse to fine; the reference values come from the effective (wideband)
-    solution.  The fitted order is the log-log slope of the population
-    error against whichever resolution parameter the ladder varies (NaN for
-    a single rung or an exactly vanishing error); non-convergence is
-    visible in the numbers, never asserted away.
+    coarse to fine.  The reference is the effective (wideband) steady
+    state, ``general_steady_state(build_general(model, omega_L))``, and
+    both sides' continuum population and transport rate come from
+    :func:`fanosolve.general.observable`.  The fitted order is the log-log
+    slope of the population error against whichever resolution parameter
+    the ladder varies (NaN for a single rung or an exactly vanishing
+    error); non-convergence is visible in the numbers, never asserted away.
     """
     specs = list(specs)
     if len(specs) < 1:
         raise ValueError("need at least one discretization spec")
-    ws, mks, ncs, rs, diags = [], [], [], [], []
+
+    def nc_and_r(state: DensityMatrixP) -> list[float]:
+        return [float(observable(model, name, state.rho, state.continuum_pops))
+                for name in ("continuum_pop", "transport_rate")]
+
+    nc_reference, r_reference = nc_and_r(general_steady_state(build_general(model, omega_L)))
+    values, diags = [], []
     for spec in specs:
-        fl = build_full_lindbladian(model, spec, omega_L)
-        sol = oracle_steady_state(fl)
-        ws.append(spec.bandwidth)
-        mks.append(spec.levels_per_continuum)
-        ncs.append(float(np.sum(sol.reduced.continuum_pops)))
-        rs.append(transport_rate_oracle(fl, sol))
+        sol = oracle_steady_state(build_full_lindbladian(model, spec, omega_L))
+        values.append(nc_and_r(sol.reduced))
         diags.append((sol.residual, sol.min_eigenvalue, sol.kernel_separation))
 
-    ncs = np.asarray(ncs)
+    ncs, rs = np.array(values).T
     errs = np.abs(ncs - nc_reference) / abs(nc_reference)
     spacings = np.array([s.spacing for s in specs])
-    widths = np.array([s.bandwidth for s in specs])
+    widths = np.array([s.bandwidth for s in specs], dtype=float)
     # order in the parameter that actually varies along the ladder: grid
     # spacing if it changes, else the inverse bandwidth
     order = np.nan
@@ -441,6 +436,6 @@ def convergence_study(model: GeneralModel, specs, omega_L: float,
             order = float(np.polyfit(np.log(spacings), np.log(errs), 1)[0])
         elif np.any(np.diff(widths) != 0):
             order = float(np.polyfit(np.log(1.0 / widths), np.log(errs), 1)[0])
-    return ConvergenceStudy(np.asarray(ws, dtype=float), np.asarray(mks),
-                            ncs, nc_reference, np.asarray(rs), r_reference, order,
+    return ConvergenceStudy(widths, np.array([s.levels_per_continuum for s in specs]),
+                            ncs, nc_reference, rs, r_reference, order,
                             *np.array(diags).T)

@@ -21,14 +21,15 @@ Every model writes its dissipation in one rate form: jump gains
 :func:`lindblad_superop` builds the dense generator.
 
 Every solver finds its steady state with the same certified kernel solve,
-:func:`_stationary_solve`, and reports the stationary transfer rate through
-:func:`transport_rate_from`.  The kernel is certified one-dimensional the
-same way at every size: the generator bordered with its left null vector
-(the trace row) must be well conditioned.  One LU factorization, of the
-generator bordered with the normalization, serves both the steady state
-and the certificate: a few fixed probe columns ride along with the
-normalization right-hand side, and a rank-one (Sherman-Morrison) update
-carries their solution over to the trace-bordered matrix.
+:func:`_stationary_solve`, and reads its observables through
+:func:`fanosolve.general.observable`.  The kernel is certified
+one-dimensional the same way at every size: the generator bordered with
+its left null vector (the trace row) must be well conditioned.  One LU
+factorization, of the generator bordered with the normalization, serves
+both the steady state and the certificate: a few fixed probe columns ride
+along with the normalization right-hand side, and a rank-one
+(Sherman-Morrison) update carries their solution over to the
+trace-bordered matrix.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "decay_table",
     "lindblad_superop",
     "trace_row",
-    "transport_rate_from",
 ]
 
 #: Required kernel separation, in units of ``eps * s`` (see :func:`_stationary_solve`).
@@ -228,19 +228,3 @@ def _stationary_solve(gen: np.ndarray, norm_row: np.ndarray, null_row: np.ndarra
         raise SteadyStateError(f"steady-state residual {resid.ravel()[k]:.2e}{at}; "
                                "kernel degenerate or ill-conditioned")
     return x, sep
-
-
-def transport_rate_from(relax_totals, continuum_pops, rho_gg):
-    """Stationary ground-to-continuum transfer rate ``sum_a Gamma_a n_a / rho_gg``.
-
-    ``relax_totals[a]`` is the total relaxation rate of continuum a and
-    ``continuum_pops`` the integrated continuum populations, shape
-    ``(..., M)``; ``rho_gg`` has the leading shape, so a whole sweep goes in
-    one call.  Undefined for a fully saturated ground state
-    (``rho_gg <= 1e-12``).
-    """
-    rho_gg = np.asarray(rho_gg, dtype=float)
-    if not np.all(rho_gg > 1e-12):
-        raise SteadyStateError("rho_gg = 0 at steady state; transfer rate undefined")
-    pops = np.asarray(continuum_pops, dtype=float)
-    return pops @ np.asarray(relax_totals, dtype=float) / rho_gg

@@ -1,15 +1,16 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from helpers import (basis_jump, dephasing_diagonal, spectator_model, svd_gap,
                      two_lu_separation)
 
-from fanosolve import (Continuum, DiscretizationSpec, FanoParams, GeneralModel,
+from fanosolve import (OBSERVABLES, Continuum, DiscretizationSpec, FanoParams, GeneralModel,
                        SteadyStateError, absorption_rate, build_full_lindbladian,
                        build_general, build_heff, continuum_coherences, fano_model,
                        two_band_demo_model, general_steady_state, general_sweep,
-                       steady_state, three_level_model, two_continua_model)
+                       observable, steady_state, three_level_model, two_continua_model)
 from fanosolve.models import _discrete_lindblad
 from fanosolve.superop import (_stationary_solve, decay_table, hamiltonian_superop,
                                lindblad_superop, trace_row, vec)
@@ -331,7 +332,7 @@ class TestContinuumCoherences:
         m = fano_model(p)
         gel = build_general(m, omega_L=0.0)
         ss = general_steady_state(gel)
-        w = continuum_coherences(ss, m)
+        w = continuum_coherences(m, ss.rho)
         np.testing.assert_allclose(w, 0.0, atol=1e-13)
 
     def test_matches_single_resonance_formula(self):
@@ -339,7 +340,7 @@ class TestContinuumCoherences:
         m = fano_model(p)
         gel = build_general(m, omega_L=p.epsilon)
         ss = general_steady_state(gel)
-        w = continuum_coherences(ss, m)
+        w = continuum_coherences(m, ss.rho)
         # single-resonance closed form in reference-coupling units
         ref = 1j * (ss.rho[1, 0] + p.Omega * ss.rho[0, 0])
         assert abs(w[0, 0] - ref) < 1e-12
@@ -349,10 +350,61 @@ class TestContinuumCoherences:
         eps = np.linspace(-6, 6, 25)
         absn, pops = [], []
         for e in eps:
-            p = p0.with_epsilon(e)
+            p = replace(p0, epsilon=e)
             ss = steady_state(p)
             absn.append(absorption_rate(p, ss))
             pops.append(ss.continuum_pops[0])
         absn = np.array(absn) / max(absn)
         pops = np.array(pops) / max(pops)
         assert np.abs(absn - pops).max() < 0.02
+
+
+def photon_return_flux(model, rho, pops):
+    """Photons carried away per unit time by the jumps and the continuum relaxation."""
+    p = np.asarray(model.photon_indices, dtype=float)
+    levels = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
+    flux = sum(rate * (p[f] - p[t]) * levels[..., f] for f, t, rate in model.jumps)
+    for a, c in enumerate(model.continua):
+        flux = flux + pops[..., a] * np.dot(c.relax_rates, c.photon_index - p)
+    return flux
+
+
+class TestObservables:
+    def test_two_level_absorption_is_the_closed_form(self):
+        # the single-resonance formula the general absorption replaced
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            p = FanoParams(rng.uniform(-10, 10), rng.uniform(-3, 3), rng.uniform(0, 2),
+                           Gamma_e=rng.uniform(0, 1), Gamma_cg=rng.uniform(0.1, 3),
+                           Gamma_ce=rng.uniform(0, 2), gamma_eg=rng.uniform(0, 2))
+            ss = steady_state(p)
+            got = observable(fano_model(p), "absorption", ss.rho, ss.continuum_pops)
+            rho_gg, rho_eg = ss.rho[0, 0], ss.rho[1, 0]
+            ref = 2.0 * p.Omega * np.imag(p.q * rho_eg + 1j * (rho_eg + p.Omega * rho_gg))
+            assert abs(got - ref) <= 1e-15 * abs(ref)
+
+    @pytest.mark.parametrize("model, grid", [
+        (fano_model(FanoParams(0.0, 1.2, 0.3, Gamma_e=0.1, Gamma_cg=1.5, Gamma_ce=0.5,
+                               gamma_eg=0.2)), np.linspace(-8, 8, 81)),
+        (three_level_model(1.0, -0.5, 0.3, 0.7, 0.8), np.linspace(-6, 6, 81)),
+        (two_continua_model(1.3, 0.2, 0.4, 0.3, Gamma_c1=0.5, Gamma_c2=2.0),
+         np.linspace(-6, 6, 81)),
+        (two_band_demo_model(), np.linspace(5, 25, 201)),
+    ], ids=["fano", "three_level", "two_continua", "two_band_demo"])
+    def test_absorption_equals_photon_return_flux(self, model, grid):
+        rho, pops = general_sweep(model, grid)
+        flux = photon_return_flux(model, rho, pops)
+        got = observable(model, "absorption", rho, pops)
+        assert got.shape == grid.shape
+        assert np.abs(got - flux).max() <= 1e-12 * np.abs(flux).max()
+
+    def test_stack_matches_single_states(self):
+        m = two_band_demo_model()
+        grid = np.array([9.0, 10.3, 20.4])
+        rho, pops = general_sweep(m, grid)
+        for name in OBSERVABLES:
+            values = observable(m, name, rho, pops)
+            for k, om in enumerate(grid):
+                ss = general_steady_state(build_general(m, omega_L=om))
+                one = observable(m, name, ss.rho, ss.continuum_pops)
+                assert one == pytest.approx(values[k], rel=1e-12)

@@ -288,6 +288,7 @@ class TestSweep:
         assert np.all(sw.values >= 0)
 
     def test_unknown_observable(self):
-        with pytest.raises(ValueError):
+        # the message lists the observables of fanosolve.general.OBSERVABLES
+        with pytest.raises(ValueError, match=r"continuum_pop.*transport_rate.*absorption"):
             lineshape_sweep(FanoParams(0, 1, 0.1), np.linspace(-1, 1, 7),
                             observable="bogus")

@@ -8,15 +8,21 @@ from hypothesis import strategies as st
 from fanosolve import (Continuum, DiscretizationSpec, FanoParams, GeneralModel,
                        SteadyStateError, build_full_lindbladian,
                        build_general, convergence_study, fano_model,
-                       general_steady_state, oracle_steady_state, steady_state,
-                       three_level_model, transport_rate, two_band_demo_model,
-                       two_continua_model)
-from fanosolve.oracle import _retained_system, transport_rate_oracle
+                       general_steady_state, observable, oracle_steady_state,
+                       steady_state, three_level_model, transport_rate,
+                       two_band_demo_model, two_continua_model)
+from fanosolve.oracle import _retained_system
 from fanosolve.superop import _stationary_solve, trace_row, vec
 
 # reference single-resonance parameters; Gamma_c = 2 keeps the level spacing
 # of the coarse grids well inside the continuum linewidth
 P_REF = FanoParams(epsilon=0.0, q=1.0, Omega=0.05, Gamma_e=0.1, Gamma_cg=2.0)
+
+
+def oracle_rate(p, sol):
+    """Transport rate of the discretized steady state of the single resonance."""
+    return observable(fano_model(p), "transport_rate", sol.reduced.rho,
+                      sol.reduced.continuum_pops)
 
 
 def small_fl(p=P_REF, mk=41, w=40.0, offset=0.0):
@@ -240,7 +246,7 @@ class TestSteadyState:
         sol = oracle_steady_state(fl)
         nc = sum(sol.reduced.continuum_pops)
         assert nc == pytest.approx(ss.continuum_pops[0], rel=2e-2)
-        r = transport_rate_oracle(fl, sol)
+        r = oracle_rate(P_REF, sol)
         assert r == pytest.approx(transport_rate(P_REF), rel=2e-2)
         assert np.abs(sol.reduced.rho - ss.rho).max() < 1e-2
 
@@ -289,7 +295,7 @@ class TestTransportOracle:
         for gc, (w, mk) in grids.items():
             p = FanoParams(0.0, 1.0, 0.05, Gamma_e=0.0, Gamma_cg=gc)
             fl = small_fl(p, mk=mk, w=w)
-            rs.append(transport_rate_oracle(fl, oracle_steady_state(fl)))
+            rs.append(oracle_rate(p, oracle_steady_state(fl)))
         ref = transport_rate(FanoParams(0.0, 1.0, 0.05, Gamma_e=0.0))
         for r in rs:
             assert r == pytest.approx(ref, rel=0.04)
@@ -308,8 +314,10 @@ class TestConvergence:
         ss = steady_state(P_REF)
         ladder = [DiscretizationSpec(50.0, 51), DiscretizationSpec(100.0, 101),
                   DiscretizationSpec(200.0, 201)]
-        study = convergence_study(fano_model(P_REF), ladder, P_REF.epsilon,
-                                  ss.continuum_pops[0], transport_rate(P_REF))
+        study = convergence_study(fano_model(P_REF), ladder, P_REF.epsilon)
+        # the study derives its reference from the effective solution itself
+        assert study.nc_reference == ss.continuum_pops[0]
+        assert study.r_reference == transport_rate(P_REF)
         assert study.decreasing
         assert study.nc_errors[-1] < 2e-2
         assert np.isfinite(study.fitted_order) or len(ladder) < 2
@@ -317,7 +325,7 @@ class TestConvergence:
     def test_diagnostics_kept_per_rung(self):
         ladder = [DiscretizationSpec(25.0, 26), DiscretizationSpec(50.0, 51)]
         model = fano_model(P_REF)
-        study = convergence_study(model, ladder, P_REF.epsilon, 0.1, 0.1)
+        study = convergence_study(model, ladder, P_REF.epsilon)
         for k, spec in enumerate(ladder):
             sol = oracle_steady_state(build_full_lindbladian(model, spec, P_REF.epsilon))
             assert study.residuals[k] == pytest.approx(sol.residual, rel=1e-6)
