@@ -91,18 +91,13 @@ def _parse_list(text: str) -> np.ndarray:
 
 
 def _fano_params(args) -> FanoParams:
-    gamma_cg = args.gamma_cg
-    gamma_ce = args.gamma_ce
-    if args.gamma_c is not None:
-        beta = args.beta if args.beta is not None else 1.0
-        gamma_cg = args.gamma_c * beta
-        gamma_ce = args.gamma_c * (1.0 - beta)
-    elif args.beta is not None:
-        tot = gamma_cg + gamma_ce
-        gamma_cg = tot * args.beta
-        gamma_ce = tot * (1.0 - args.beta)
-    return FanoParams(epsilon=0.0, q=args.q, Omega=args.omega,
-                      Gamma_e=args.gamma_e, Gamma_cg=gamma_cg, Gamma_ce=gamma_ce,
+    if not 0.0 <= args.beta <= 1.0:
+        raise ValueError(f"beta must lie in [0, 1], got {args.beta}")
+    if not 0.0 <= args.gamma_c < np.inf:
+        raise ValueError(f"gamma_c must be finite and nonnegative, got {args.gamma_c}")
+    return FanoParams(epsilon=0.0, q=args.q, Omega=args.omega, Gamma_e=args.gamma_e,
+                      Gamma_cg=args.gamma_c * args.beta,
+                      Gamma_ce=args.gamma_c * (1.0 - args.beta),
                       gamma_eg=args.gamma_eg)
 
 
@@ -195,8 +190,7 @@ def cmd_oracle(args) -> int:
                study.nc_errors, study.r_oracle, study.r_errors)
     _write_csv(args.out, ["bandwidth", "levels", "nc_oracle", "nc_reference",
                           "nc_rel_error", "r_oracle", "r_rel_error"], rows)
-    print(f"fitted error order in grid spacing: {study.fitted_order:.3g}; "
-          f"monotone decrease: {study.decreasing}; "
+    print(f"monotone decrease: {study.decreasing}; "
           f"worst residual {study.residuals.max():.2e}, "
           f"min eigenvalue {study.min_eigenvalues.min():.2e}, "
           f"min kernel separation {study.kernel_separations.min():.2e}")
@@ -211,15 +205,11 @@ def _add_fano_flags(sub, with_dissipation: bool = True):
     if with_dissipation:
         sub.add_argument("--gamma-e", type=float, default=0.0,
                          help="excited->ground relaxation half width Gamma_e")
-        sub.add_argument("--gamma-cg", type=float, default=1.0,
-                         help="continuum->ground relaxation rate Gamma_cg")
-        sub.add_argument("--gamma-ce", type=float, default=0.0,
-                         help="continuum->excited relaxation rate Gamma_ce")
-        sub.add_argument("--gamma-c", type=float, default=None,
-                         help="total continuum relaxation rate Gamma_c "
-                              "(overrides --gamma-cg/--gamma-ce; split by --beta)")
-        sub.add_argument("--beta", type=float, default=None,
-                         help="branching beta = Gamma_cg / (Gamma_cg + Gamma_ce)")
+        sub.add_argument("--gamma-c", type=float, default=1.0,
+                         help="total continuum relaxation rate Gamma_c")
+        sub.add_argument("--beta", type=float, default=1.0,
+                         help="branching: Gamma_cg = beta Gamma_c, "
+                              "Gamma_ce = (1 - beta) Gamma_c")
         sub.add_argument("--gamma-eg", type=float, default=0.0,
                          help="pure dephasing rate gamma_eg of the g-e coherence")
 

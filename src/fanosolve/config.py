@@ -1,9 +1,11 @@
 """YAML model configuration: strict loading, saving and sweep descriptions.
 
-A configuration file has the sections ``units`` (free-text statement of
-which coupling defines the reference width), ``levels``, ``dipoles``,
-``continua``, ``dissipators``, ``field`` (the drive frequency or a sweep of
-it) and ``run`` (output path, optional discretization ladder).
+A configuration file has the sections ``units`` (a free-text
+``reference`` stating which coupling defines the reference width; written
+for the reader, key-checked on loading and otherwise ignored),
+``levels``, ``dipoles``, ``continua``, ``dissipators``, ``field`` (the
+drive frequency or a sweep of it) and ``run`` (output path, optional
+discretization ladder, each rung's ``grid_offset`` kept when nonzero).
 Unknown keys anywhere are rejected so typos cannot silently change a model.
 Saving and re-loading a model reproduces every finite float bit-exactly.
 """
@@ -18,8 +20,7 @@ import yaml
 from .models import Continuum, GeneralModel, validate_model
 from .oracle import DiscretizationSpec
 
-__all__ = ["SweepSpec", "RunSpec", "ModelConfig", "load_config", "save_model",
-           "model_to_dict"]
+__all__ = ["SweepSpec", "RunSpec", "ModelConfig", "load_config", "save_model"]
 
 
 class ConfigError(ValueError):
@@ -49,7 +50,6 @@ class ModelConfig:
     model: GeneralModel
     sweep: SweepSpec
     run: RunSpec
-    units: str = ""
 
 
 def _check_keys(mapping: dict, allowed: set[str], where: str):
@@ -172,26 +172,18 @@ def load_config(path: str) -> ModelConfig:
         raise ConfigError(f"{path}: top level must be a mapping")
     _check_keys(doc, {"units", "levels", "dipoles", "continua", "dissipators",
                       "field", "run"}, "top level")
-    units = doc.get("units", {}) or {}
-    if isinstance(units, dict):
-        _check_keys(units, {"reference"}, "units")
-        units_text = str(units.get("reference", ""))
-    else:
-        units_text = str(units)
+    if isinstance(doc.get("units"), dict):
+        _check_keys(doc["units"], {"reference"}, "units")
     model = _parse_model(doc)
     problems = validate_model(model)
     if problems:
         raise ConfigError(f"{path}: invalid model: " + "; ".join(problems))
-    return ModelConfig(
-        model=model,
-        sweep=_parse_field(doc),
-        run=_parse_run(doc),
-        units=units_text,
-    )
+    return ModelConfig(model=model, sweep=_parse_field(doc), run=_parse_run(doc))
 
 
-def model_to_dict(model: GeneralModel, units: str = "") -> dict:
-    """Plain-dict form of a model, floats kept as Python floats for exact YAML."""
+def save_model(model: GeneralModel, path: str, sweep: SweepSpec | None = None,
+               run: RunSpec | None = None, units: str = "") -> None:
+    """Write a model (plus optional sweep/run sections) as a config file."""
     doc: dict = {}
     if units:
         doc["units"] = {"reference": units}
@@ -235,13 +227,6 @@ def model_to_dict(model: GeneralModel, units: str = "") -> dict:
                               for i, j, g in model.dephasings]
     if diss:
         doc["dissipators"] = diss
-    return doc
-
-
-def save_model(model: GeneralModel, path: str, sweep: SweepSpec | None = None,
-               run: RunSpec | None = None, units: str = "") -> None:
-    """Write a model (plus optional sweep/run sections) as a config file."""
-    doc = model_to_dict(model, units=units)
     if sweep is not None:
         if sweep.points == 1:
             doc["field"] = {"omega_L": float(sweep.start)}
@@ -255,7 +240,9 @@ def save_model(model: GeneralModel, path: str, sweep: SweepSpec | None = None,
             rd["output"] = run.output
         if run.oracle:
             rd["oracle"] = [{"bandwidth": float(s.bandwidth),
-                             "levels_per_continuum": int(s.levels_per_continuum)}
+                             "levels_per_continuum": int(s.levels_per_continuum),
+                             **({"grid_offset": float(s.grid_offset)}
+                                if s.grid_offset else {})}
                             for s in run.oracle]
         doc["run"] = rd
     with open(path, "w", encoding="utf-8") as fh:

@@ -148,21 +148,27 @@ def decompose(rq: RationalQuadratic) -> LineshapeDecomposition:
     return LineshapeDecomposition(delta, sigma, k_den, c2, q, d)
 
 
+def _max_rel_misfit(pred, values) -> float:
+    """Largest misfit relative to each sample, floored at 1e-9 of the largest."""
+    values = np.asarray(values, dtype=float)
+    scale = np.max(np.abs(values), initial=0.0)
+    return float(np.max(np.abs(pred - values) / np.maximum(np.abs(values), 1e-9 * scale)))
+
+
 @dataclass(frozen=True)
 class FitResult:
-    """Least-squares rational-quadratic fit and its quality diagnostics."""
+    """Least-squares rational-quadratic fit and its quality diagnostics.
+
+    ``max_rel_residual`` is the largest relative misfit over the fitted samples.
+    """
 
     rq: RationalQuadratic
     max_rel_residual: float
     cond: float
 
     def held_out_residual(self, epsilon, values) -> float:
-        """Largest mixed relative/absolute misfit on extra samples."""
-        epsilon = np.asarray(epsilon, dtype=float)
-        values = np.asarray(values, dtype=float)
-        pred = self.rq(epsilon)
-        scale = np.max(np.abs(values), initial=0.0)
-        return float(np.max(np.abs(pred - values) / np.maximum(np.abs(values), 1e-9 * scale)))
+        """The misfit of :attr:`max_rel_residual`, on extra samples."""
+        return _max_rel_misfit(self.rq(epsilon), values)
 
 
 def fit_rational_quadratic(epsilon, values) -> FitResult:
@@ -201,12 +207,4 @@ def fit_rational_quadratic(epsilon, values) -> FitResult:
         raise ValueError(f"singular normal equations (condition number {cond:.3e})")
     a0, a1, a2, b0, b1 = sol / scale
     rq = RationalQuadratic(a0, a1, a2, b0, b1, 1.0)
-
-    pred = rq(epsilon)
-    vscale = np.max(np.abs(values), initial=0.0)
-    if vscale == 0:
-        resid = float(np.max(np.abs(pred), initial=0.0))
-    else:
-        resid = float(np.max(np.abs(pred - values)
-                             / np.maximum(np.abs(values), 1e-9 * vscale)))
-    return FitResult(rq, resid, cond)
+    return FitResult(rq, _max_rel_misfit(rq(epsilon), values), cond)

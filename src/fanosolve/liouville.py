@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .general import (GeneralEffectiveLiouvillian, build_general, fano_model,
-                      general_steady_state, general_sweep)
+from .general import (OBSERVABLES, GeneralEffectiveLiouvillian, build_general,
+                      fano_model, general_steady_state, general_sweep)
 from .general import observable as _observable
 from .lineshape import FitResult, LineshapeDecomposition, decompose, fit_rational_quadratic
 from .models import DensityMatrixP, FanoParams
@@ -106,17 +106,16 @@ def absorption_rate(p: FanoParams, ss: DensityMatrixP | None = None) -> float:
 class SweepResult:
     """Detuning sweep of one steady-state observable plus its rational fit.
 
-    ``decomposition`` and the fit fields are None when the fit was not
-    attempted (fewer than 6 points) or failed; ``fit_residual`` is the
-    largest relative misfit over the sweep.  Every observable of the single
-    resonance is an exact rational quadratic in the detuning, branching
-    beta < 1 included, so the residual stays at float noise; a larger value
-    flags a failed fit.
+    ``fit`` and ``decomposition`` are None when the fit was not attempted
+    (fewer than 6 distinct points or all values zero) or failed, and
+    ``fit_residual`` is then NaN, else the largest relative misfit over the
+    sweep.  Every observable of the single resonance is an exact rational
+    quadratic in the detuning, branching beta < 1 included, so the residual
+    stays at float noise; a larger value flags a failed fit.
     """
 
     epsilons: np.ndarray
     values: np.ndarray
-    observable: str
     fit: FitResult | None = None
     decomposition: LineshapeDecomposition | None = None
 
@@ -131,13 +130,15 @@ def lineshape_sweep(p: FanoParams, epsilons,
 
     ``observable`` is one of :data:`fanosolve.general.OBSERVABLES`, computed
     by :func:`fanosolve.general.observable`; another name raises
-    ``ValueError``.  When the grid has at least six distinct points, the
-    sweep is least-squares fitted by a rational quadratic and
-    decomposed into (Delta, sigma, q, D); fit failure is recorded, not
-    raised.  All points are certified and solved in one batched call; a
-    failing point raises :class:`SteadyStateError` naming its index, and
-    non-finite ``epsilons`` raise ``ValueError``.
+    ``ValueError`` before anything is solved.  When the grid has at least
+    six distinct points, the sweep is least-squares fitted by a rational
+    quadratic and decomposed into (Delta, sigma, q, D); fit failure is
+    recorded, not raised.  All points are certified and solved in one
+    batched call; a failing point raises :class:`SteadyStateError` naming
+    its index, and non-finite ``epsilons`` raise ``ValueError``.
     """
+    if observable not in OBSERVABLES:
+        raise ValueError(f"observable must be one of {OBSERVABLES}, got {observable!r}")
     epsilons = np.asarray(epsilons, dtype=float)
     if not np.all(np.isfinite(epsilons)):
         raise ValueError("epsilons must be finite")
@@ -152,4 +153,4 @@ def lineshape_sweep(p: FanoParams, epsilons,
             dec = decompose(fit_res.rq)
         except ValueError as exc:
             logger.info("lineshape fit failed: %s", exc)
-    return SweepResult(epsilons, values, observable, fit_res, dec)
+    return SweepResult(epsilons, values, fit_res, dec)

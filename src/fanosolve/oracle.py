@@ -142,7 +142,7 @@ def build_full_lindbladian(model: GeneralModel, spec: DiscretizationSpec,
     for cont in model.continua:
         sl = slice(off, off + mk)
         slices.append(sl)
-        de = spec.bandwidth / (mk - 1)
+        de = spec.spacing
         grid = (cont.center - omega_L * cont.photon_index
                 + np.linspace(-spec.bandwidth / 2, spec.bandwidth / 2, mk)
                 + spec.grid_offset * de)
@@ -367,7 +367,9 @@ def oracle_steady_state(fl: FullLindbladian) -> OracleSolution:
 class ConvergenceStudy:
     """Error of the effective solution against the discretized one per rung.
 
-    ``residuals``, ``min_eigenvalues`` and ``kernel_separations`` are the
+    The errors are reported rung by rung, with no fitted convergence order:
+    a ladder that widens the band at a fixed spacing has an error of the
+    form ``a/W + b``, not a power law in any one parameter.  ``residuals``, ``min_eigenvalues`` and ``kernel_separations`` are the
     solve diagnostics of each rung (see :class:`OracleSolution`).
     """
 
@@ -377,7 +379,6 @@ class ConvergenceStudy:
     nc_reference: float
     r_oracle: np.ndarray
     r_reference: float
-    fitted_order: float
     residuals: np.ndarray
     min_eigenvalues: np.ndarray
     kernel_separations: np.ndarray
@@ -404,10 +405,8 @@ def convergence_study(model: GeneralModel, specs, omega_L: float) -> Convergence
     coarse to fine.  The reference is the effective (wideband) steady
     state, ``general_steady_state(build_general(model, omega_L))``, and
     both sides' continuum population and transport rate come from
-    :func:`fanosolve.general.observable`.  The fitted order is the log-log
-    slope of the population error against whichever resolution parameter
-    the ladder varies (NaN for a single rung or an exactly vanishing
-    error); non-convergence is visible in the numbers, never asserted away.
+    :func:`fanosolve.general.observable`.  Non-convergence is visible in
+    the per-rung errors, never asserted away.
     """
     specs = list(specs)
     if len(specs) < 1:
@@ -425,17 +424,6 @@ def convergence_study(model: GeneralModel, specs, omega_L: float) -> Convergence
         diags.append((sol.residual, sol.min_eigenvalue, sol.kernel_separation))
 
     ncs, rs = np.array(values).T
-    errs = np.abs(ncs - nc_reference) / abs(nc_reference)
-    spacings = np.array([s.spacing for s in specs])
-    widths = np.array([s.bandwidth for s in specs], dtype=float)
-    # order in the parameter that actually varies along the ladder: grid
-    # spacing if it changes, else the inverse bandwidth
-    order = np.nan
-    if len(specs) >= 2 and np.all(errs > 0):
-        if np.any(np.diff(spacings) != 0):
-            order = float(np.polyfit(np.log(spacings), np.log(errs), 1)[0])
-        elif np.any(np.diff(widths) != 0):
-            order = float(np.polyfit(np.log(1.0 / widths), np.log(errs), 1)[0])
-    return ConvergenceStudy(widths, np.array([s.levels_per_continuum for s in specs]),
-                            ncs, nc_reference, rs, r_reference, order,
-                            *np.array(diags).T)
+    return ConvergenceStudy(np.array([s.bandwidth for s in specs], dtype=float),
+                            np.array([s.levels_per_continuum for s in specs]),
+                            ncs, nc_reference, rs, r_reference, *np.array(diags).T)

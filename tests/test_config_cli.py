@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -43,13 +44,15 @@ class TestConfigRoundTrip:
     def test_two_band_demo_bit_exact(self, tmp_path):
         m = two_band_demo_model()
         path = tmp_path / "m.yaml"
-        save_model(m, str(path), sweep=SweepSpec(5.0, 25.0, 101),
-                   run=RunSpec(output="x.csv"),
+        run = RunSpec(output="x.csv",
+                      oracle=(DiscretizationSpec(25.0, 26),
+                              DiscretizationSpec(50.0, 51, grid_offset=0.25)))
+        save_model(m, str(path), sweep=SweepSpec(5.0, 25.0, 101), run=run,
                    units="level-1 coupling to continuum A")
         cfg = load_config(str(path))
         assert models_equal(cfg.model, m)
         assert cfg.sweep == SweepSpec(5.0, 25.0, 101)
-        assert cfg.run == RunSpec(output="x.csv")
+        assert cfg.run == run
 
     def test_awkward_floats_bit_exact(self, tmp_path):
         dip = np.zeros((2, 2), dtype=complex)
@@ -210,6 +213,31 @@ class TestSteadyCommand:
         assert rc == 0
         doc = json.loads(summ.read_text())
         assert "fit_residual" in doc and doc["fit_residual"] is not None
+        assert doc["Gamma_cg"] == doc["Gamma_ce"] == 0.5
+
+    def test_rates_default_to_gamma_c_1_beta_1(self, tmp_path):
+        outputs = []
+        for tag, flags in (("default", []), ("explicit", ["--gamma-c", "1", "--beta", "1"])):
+            out, summ = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+            assert main(["steady", "--q", "1.3", "--omega", "0.2", "--gamma-e", "0.15",
+                         *flags, "--eps", "-5:5:21", "--out", str(out),
+                         "--summary", str(summ)]) == 0
+            outputs.append((out.read_bytes(), summ.read_bytes()))
+        assert outputs[0] == outputs[1]
+        doc = json.loads(outputs[0][1])
+        assert (doc["Gamma_cg"], doc["Gamma_ce"]) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--beta", "1.5"], r"beta must lie in \[0, 1\], got 1.5"),
+        (["--gamma-c", "-1"], "gamma_c must be finite and nonnegative, got -1.0"),
+        (["--gamma-c", "inf"], "gamma_c must be finite and nonnegative, got inf"),
+    ], ids=["beta", "gamma_c", "gamma_c-inf"])
+    def test_bad_rate_flag_named(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "st.csv"
+        assert main(["steady", "--q", "1", "--omega", "0.1", *flags,
+                     "--eps", "-1:1:7", "--out", str(out)]) == 1
+        assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()
 
     def test_non_finite_grid_rejected_by_parser(self, tmp_path, capsys):
         out = tmp_path / "st.csv"
@@ -285,7 +313,7 @@ class TestOracleCommand:
         assert lines[1].split(",")[0] == "bandwidth"
         assert len(lines) == 4
         stdout = capsys.readouterr().out
-        assert "fitted error order" in stdout
+        assert "monotone decrease" in stdout
         assert "worst residual" in stdout and "min kernel separation" in stdout
 
     def test_non_finite_omega_exits_1(self, tmp_path, capsys):

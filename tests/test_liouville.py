@@ -287,8 +287,17 @@ class TestSweep:
         sw = lineshape_sweep(p, np.linspace(-5, 5, 11), observable="transport_rate")
         assert np.all(sw.values >= 0)
 
-    def test_unknown_observable(self):
+    def test_unknown_observable(self, monkeypatch):
         # the message lists the observables of fanosolve.general.OBSERVABLES
         with pytest.raises(ValueError, match=r"continuum_pop.*transport_rate.*absorption"):
             lineshape_sweep(FanoParams(0, 1, 0.1), np.linspace(-1, 1, 7),
+                            observable="bogus")
+
+        # ... and the name is checked before anything is solved
+        def no_solve(*args, **kwargs):
+            raise AssertionError("general_sweep called for an unknown observable")
+
+        monkeypatch.setattr("fanosolve.liouville.general_sweep", no_solve)
+        with pytest.raises(ValueError, match=r"continuum_pop.*transport_rate.*absorption"):
+            lineshape_sweep(FanoParams(0, 1, 0.1), np.linspace(-1, 1, 20001),
                             observable="bogus")

@@ -320,7 +320,6 @@ class TestConvergence:
         assert study.r_reference == transport_rate(P_REF)
         assert study.decreasing
         assert study.nc_errors[-1] < 2e-2
-        assert np.isfinite(study.fitted_order) or len(ladder) < 2
 
     def test_diagnostics_kept_per_rung(self):
         ladder = [DiscretizationSpec(25.0, 26), DiscretizationSpec(50.0, 51)]
