@@ -93,8 +93,8 @@ def _parse_list(text: str) -> np.ndarray:
 def _fano_params(args) -> FanoParams:
     if not 0.0 <= args.beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {args.beta}")
-    if not 0.0 <= args.gamma_c < np.inf:
-        raise ValueError(f"gamma_c must be finite and nonnegative, got {args.gamma_c}")
+    if not 0.0 < args.gamma_c < np.inf:
+        raise ValueError(f"gamma_c must be positive and finite, got {args.gamma_c}")
     return FanoParams(epsilon=0.0, q=args.q, Omega=args.omega, Gamma_e=args.gamma_e,
                       Gamma_cg=args.gamma_c * args.beta,
                       Gamma_ce=args.gamma_c * (1.0 - args.beta),

@@ -1,13 +1,14 @@
 """YAML model configuration: strict loading, saving and sweep descriptions.
 
-A configuration file has the sections ``units`` (a free-text
-``reference`` stating which coupling defines the reference width; written
-for the reader, key-checked on loading and otherwise ignored),
-``levels``, ``dipoles``, ``continua``, ``dissipators``, ``field`` (the
-drive frequency or a sweep of it) and ``run`` (output path, optional
-discretization ladder, each rung's ``grid_offset`` kept when nonzero).
-Unknown keys anywhere are rejected so typos cannot silently change a model.
-Saving and re-loading a model reproduces every finite float bit-exactly.
+Sections: ``units`` (a free-text ``reference``, otherwise ignored),
+``levels``, ``dipoles``, ``continua``, ``dissipators`` (``jumps``,
+``dephasings``), ``field`` (the drive frequency ``omega_L`` or a sweep of
+it) and ``run`` (output path, oracle ladder).  Each entry kind is one table
+from key to converter and default, read by both loading and saving.
+Unknown or missing keys, wrong types, non-integral integers and
+out-of-range indices raise a ``ConfigError`` naming the key path
+(``levels[1].energy``); a null optional value takes its default.  Saving
+leaves defaults out; re-loading reproduces every finite float bit-exactly.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ class SweepSpec:
     stop: float
     points: int
 
+    def __post_init__(self):
+        if self.points < 1:
+            raise ValueError(f"points must be at least 1, got {self.points}")
+
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
 
@@ -52,76 +57,109 @@ class ModelConfig:
     run: RunSpec
 
 
-def _check_keys(mapping: dict, allowed: set[str], where: str):
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+def _int(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
-def _as_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
+def _floats(value) -> list[float]:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list, got {value!r}")
+    return [float(v) for v in value]
+
+
+def _complex(value) -> complex:
+    if isinstance(value, (int, float, complex)):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+    raise ValueError(f"expected a number or [re, im] pair, got {value!r}")
+
+
+REQUIRED = object()  # the default of a key that must be given
+# One table per entry kind: key -> (converter, default or REQUIRED).
+_LEVEL = {"energy": (float, REQUIRED), "photon_index": (_int, 0), "label": (str, "")}
+_DIPOLE = {"i": (_int, REQUIRED), "j": (_int, REQUIRED), "value": (_complex, REQUIRED)}
+_CONTINUUM = {"density": (float, REQUIRED), "couplings": (_floats, REQUIRED),
+              "relax_rates": (_floats, REQUIRED), "dephase_rates": (_floats, None),
+              "center": (float, 0.0), "photon_index": (_int, 1), "label": (str, "")}
+_JUMP = {"from": (_int, REQUIRED), "to": (_int, REQUIRED), "rate": (float, REQUIRED)}
+_DEPHASING = {"i": (_int, REQUIRED), "j": (_int, REQUIRED), "rate": (float, REQUIRED)}
+_SWEEP = {"start": (float, REQUIRED), "stop": (float, REQUIRED), "points": (_int, REQUIRED)}
+_RUNG = {"bandwidth": (float, REQUIRED), "levels_per_continuum": (_int, REQUIRED),
+         "grid_offset": (float, 0.0)}
+
+
+def _check_keys(mapping, allowed, where: str):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {mapping!r}")
+    unknown = set(mapping) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown, key=str)} in {where}")
+
+
+def _read(table: dict, entry, where: str, build=dict):
+    """Check one entry against ``table``, convert it and pass it to ``build``."""
+    _check_keys(entry, table, where)
+    values = {}
+    for key, (convert, default) in table.items():
+        if entry.get(key) is None and default is not REQUIRED:
+            values[key] = default
+        elif key not in entry:
+            raise ConfigError(f"{where}.{key}: missing")
+        else:
+            try:
+                values[key] = convert(entry[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{where}.{key}: {exc}") from None
+    try:
+        return build(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _entries(section: dict, key: str, prefix: str = "") -> list:
+    """``(path, entry)`` pairs of a list section; a missing or null one has none."""
+    entries = section.get(key) or []
+    if not isinstance(entries, list):
+        raise ConfigError(f"{prefix}{key}: expected a list, got {entries!r}")
+    return [(f"{prefix}{key}[{k}]", entry) for k, entry in enumerate(entries)]
 
 
 def _parse_model(doc: dict) -> GeneralModel:
-    levels = doc.get("levels")
+    levels = [_read(_LEVEL, lv, where) for where, lv in _entries(doc, "levels")]
     if not levels:
         raise ConfigError("missing or empty `levels` section")
-    energies, photons = [], []
-    for k, lv in enumerate(levels):
-        _check_keys(lv, {"energy", "photon_index", "label"}, f"levels[{k}]")
-        energies.append(float(lv["energy"]))
-        photons.append(int(lv.get("photon_index", 0)))
-    n = len(energies)
-
+    n = len(levels)
     dip = np.zeros((n, n), dtype=complex)
-    for k, entry in enumerate(doc.get("dipoles", []) or []):
-        _check_keys(entry, {"i", "j", "value"}, f"dipoles[{k}]")
-        i, j = int(entry["i"]), int(entry["j"])
-        val = _as_complex(entry["value"], f"dipoles[{k}]")
-        dip[i, j] = val
-        dip[j, i] = val.conjugate()
+    for where, entry in _entries(doc, "dipoles"):
+        d = _read(_DIPOLE, entry, where)
+        for key in ("i", "j"):
+            if not 0 <= d[key] < n:
+                raise ConfigError(f"{where}.{key}: no level {d[key]} among {n} levels")
+        dip[d["i"], d["j"]] = d["value"]
+        dip[d["j"], d["i"]] = d["value"].conjugate()
 
     conts = []
-    for k, entry in enumerate(doc.get("continua", []) or []):
-        if "pump_rates" in entry:
+    for where, entry in _entries(doc, "continua"):
+        if isinstance(entry, dict) and "pump_rates" in entry:
             # Incoherent injection into a flat band has a divergent total rate.
-            raise ConfigError(f"continua[{k}]: incoherent pumping into the continuum "
+            raise ConfigError(f"{where}: incoherent pumping into the continuum "
                               "diverges in the wideband approximation and is not supported")
-        _check_keys(entry, {"density", "couplings", "relax_rates", "dephase_rates",
-                            "center", "photon_index", "label"},
-                    f"continua[{k}]")
-        conts.append(Continuum(
-            density=float(entry["density"]),
-            couplings=tuple(float(v) for v in entry["couplings"]),
-            relax_rates=tuple(float(v) for v in entry["relax_rates"]),
-            dephase_rates=(tuple(float(v) for v in entry["dephase_rates"])
-                           if entry.get("dephase_rates") is not None else None),
-            center=float(entry.get("center", 0.0)),
-            photon_index=int(entry.get("photon_index", 1)),
-            label=str(entry.get("label", "")),
-        ))
+        conts.append(_read(_CONTINUUM, entry, where, Continuum))
 
-    jumps, dephasings = [], []
-    diss = doc.get("dissipators", {}) or {}
-    _check_keys(diss, {"jumps", "dephasings"}, "dissipators")
-    for k, entry in enumerate(diss.get("jumps", []) or []):
-        _check_keys(entry, {"from", "to", "rate"}, f"dissipators.jumps[{k}]")
-        jumps.append((int(entry["from"]), int(entry["to"]), float(entry["rate"])))
-    for k, entry in enumerate(diss.get("dephasings", []) or []):
-        _check_keys(entry, {"i", "j", "rate"}, f"dissipators.dephasings[{k}]")
-        dephasings.append((int(entry["i"]), int(entry["j"]), float(entry["rate"])))
-
+    diss = doc.get("dissipators") or {}
+    _check_keys(diss, ("jumps", "dephasings"), "dissipators")
     return GeneralModel(
-        energies=tuple(energies),
-        photon_indices=tuple(photons),
+        energies=tuple(lv["energy"] for lv in levels),
+        photon_indices=tuple(lv["photon_index"] for lv in levels),
         dipoles=dip,
         continua=tuple(conts),
-        jumps=tuple(jumps),
-        dephasings=tuple(dephasings),
+        jumps=tuple(tuple(_read(_JUMP, e, where).values())
+                    for where, e in _entries(diss, "jumps", "dissipators.")),
+        dephasings=tuple(tuple(_read(_DEPHASING, e, where).values())
+                         for where, e in _entries(diss, "dephasings", "dissipators.")),
     )
 
 
@@ -129,13 +167,12 @@ def _parse_field(doc: dict) -> SweepSpec:
     # Drive amplitudes live inside the couplings/dipoles of the model, so
     # the field section carries only the frequency (or a sweep of it).
     fld = doc.get("field")
-    if not fld:
+    if fld is None:
         raise ConfigError("missing `field` section")
-    _check_keys(fld, {"omega_L"}, "field")
+    _check_keys(fld, ("omega_L",), "field")
     om = fld.get("omega_L")
     if isinstance(om, dict):
-        _check_keys(om, {"start", "stop", "points"}, "field.omega_L")
-        sweep = SweepSpec(float(om["start"]), float(om["stop"]), int(om["points"]))
+        sweep = _read(_SWEEP, om, "field.omega_L", SweepSpec)
     elif isinstance(om, (int, float)):
         sweep = SweepSpec(float(om), float(om), 1)
     else:
@@ -146,34 +183,31 @@ def _parse_field(doc: dict) -> SweepSpec:
 
 
 def _parse_run(doc: dict) -> RunSpec:
-    run = doc.get("run", {}) or {}
-    _check_keys(run, {"output", "oracle"}, "run")
-    ladder = []
-    oracle = run.get("oracle")
-    if oracle is not None:
-        if isinstance(oracle, dict):
-            oracle = [oracle]
-        for k, rung in enumerate(oracle):
-            _check_keys(rung, {"bandwidth", "levels_per_continuum", "grid_offset"},
-                        f"run.oracle[{k}]")
-            kwargs = {"bandwidth": float(rung["bandwidth"]),
-                      "levels_per_continuum": int(rung["levels_per_continuum"])}
-            if "grid_offset" in rung:
-                kwargs["grid_offset"] = float(rung["grid_offset"])
-            ladder.append(DiscretizationSpec(**kwargs))
-    return RunSpec(output=run.get("output"), oracle=tuple(ladder))
+    run = doc.get("run") or {}
+    _check_keys(run, ("output", "oracle"), "run")
+    output = run.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ConfigError(f"run.output: expected a path, got {output!r}")
+    if isinstance(run.get("oracle"), dict):
+        run = {"oracle": [run["oracle"]]}
+    return RunSpec(output=output, oracle=tuple(
+        _read(_RUNG, rung, where, DiscretizationSpec)
+        for where, rung in _entries(run, "oracle", "run.")))
 
 
 def load_config(path: str) -> ModelConfig:
     """Load and strictly validate a model configuration file."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: invalid YAML: {' '.join(str(exc).split())}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    _check_keys(doc, {"units", "levels", "dipoles", "continua", "dissipators",
-                      "field", "run"}, "top level")
+    _check_keys(doc, ("units", "levels", "dipoles", "continua", "dissipators",
+                      "field", "run"), "top level")
     if isinstance(doc.get("units"), dict):
-        _check_keys(doc["units"], {"reference"}, "units")
+        _check_keys(doc["units"], ("reference",), "units")
     model = _parse_model(doc)
     problems = validate_model(model)
     if problems:
@@ -181,69 +215,42 @@ def load_config(path: str) -> ModelConfig:
     return ModelConfig(model=model, sweep=_parse_field(doc), run=_parse_run(doc))
 
 
+def _dump(table: dict, values: dict) -> dict:
+    """One entry of ``table``, converted as on loading, without its default values."""
+    entry = {}
+    for key, (convert, default) in table.items():
+        if key in values and (default is REQUIRED or values[key] != default):
+            value = convert(values[key])
+            if isinstance(value, complex):
+                value = [value.real, value.imag] if value.imag else value.real
+            entry[key] = value
+    return entry
+
+
+def _pruned(doc: dict) -> dict:
+    """``doc`` without its empty sections."""
+    doc = {k: _pruned(v) if isinstance(v, dict) else v for k, v in doc.items()}
+    return {k: v for k, v in doc.items() if v not in (None, "", [], {})}
+
+
 def save_model(model: GeneralModel, path: str, sweep: SweepSpec | None = None,
                run: RunSpec | None = None, units: str = "") -> None:
     """Write a model (plus optional sweep/run sections) as a config file."""
-    doc: dict = {}
-    if units:
-        doc["units"] = {"reference": units}
-    doc["levels"] = [{"energy": float(e), "photon_index": int(p)}
-                     for e, p in zip(model.energies, model.photon_indices)]
-    dipoles = []
-    n = model.n_levels
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = complex(model.dipoles[i, j])
-            if val != 0:
-                entry = {"i": i, "j": j,
-                         "value": (float(val.real) if val.imag == 0
-                                   else [float(val.real), float(val.imag)])}
-                dipoles.append(entry)
-    if dipoles:
-        doc["dipoles"] = dipoles
-    conts = []
-    for cont in model.continua:
-        entry = {
-            "density": float(cont.density),
-            "couplings": [float(v) for v in cont.couplings],
-            "relax_rates": [float(v) for v in cont.relax_rates],
-        }
-        if cont.dephase_rates is not None:
-            entry["dephase_rates"] = [float(v) for v in cont.dephase_rates]
-        if cont.center:
-            entry["center"] = float(cont.center)
-        if cont.photon_index != 1:
-            entry["photon_index"] = int(cont.photon_index)
-        if cont.label:
-            entry["label"] = cont.label
-        conts.append(entry)
-    doc["continua"] = conts
-    diss = {}
-    if model.jumps:
-        diss["jumps"] = [{"from": a, "to": b, "rate": float(g)}
-                         for a, b, g in model.jumps]
-    if model.dephasings:
-        diss["dephasings"] = [{"i": i, "j": j, "rate": float(g)}
-                              for i, j, g in model.dephasings]
-    if diss:
-        doc["dissipators"] = diss
-    if sweep is not None:
-        if sweep.points == 1:
-            doc["field"] = {"omega_L": float(sweep.start)}
-        else:
-            doc["field"] = {"omega_L": {"start": float(sweep.start),
-                                        "stop": float(sweep.stop),
-                                        "points": int(sweep.points)}}
-    if run is not None:
-        rd: dict = {}
-        if run.output:
-            rd["output"] = run.output
-        if run.oracle:
-            rd["oracle"] = [{"bandwidth": float(s.bandwidth),
-                             "levels_per_continuum": int(s.levels_per_continuum),
-                             **({"grid_offset": float(s.grid_offset)}
-                                if s.grid_offset else {})}
-                            for s in run.oracle]
-        doc["run"] = rd
+    n, dip, run = model.n_levels, model.dipoles, run or RunSpec()
+    doc = {
+        "units": {"reference": units},
+        "levels": [_dump(_LEVEL, dict(zip(_LEVEL, level)))
+                   for level in zip(model.energies, model.photon_indices)],
+        "dipoles": [_dump(_DIPOLE, {"i": i, "j": j, "value": dip[i, j]})
+                    for i in range(n) for j in range(i + 1, n) if dip[i, j] != 0],
+        "continua": [_dump(_CONTINUUM, vars(cont)) for cont in model.continua],
+        "dissipators": {"jumps": [_dump(_JUMP, dict(zip(_JUMP, e))) for e in model.jumps],
+                        "dephasings": [_dump(_DEPHASING, dict(zip(_DEPHASING, e)))
+                                       for e in model.dephasings]},
+        "field": None if sweep is None else {"omega_L": (
+            float(sweep.start) if sweep.points == 1 else _dump(_SWEEP, vars(sweep)))},
+        "run": {"output": run.output,
+                "oracle": [_dump(_RUNG, vars(spec)) for spec in run.oracle]},
+    }
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False, default_flow_style=None)
+        yaml.safe_dump(_pruned(doc), fh, sort_keys=False, default_flow_style=None)

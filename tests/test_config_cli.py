@@ -229,9 +229,10 @@ class TestSteadyCommand:
 
     @pytest.mark.parametrize("flags, message", [
         (["--beta", "1.5"], r"beta must lie in \[0, 1\], got 1.5"),
-        (["--gamma-c", "-1"], "gamma_c must be finite and nonnegative, got -1.0"),
-        (["--gamma-c", "inf"], "gamma_c must be finite and nonnegative, got inf"),
-    ], ids=["beta", "gamma_c", "gamma_c-inf"])
+        (["--gamma-c", "-1"], "gamma_c must be positive and finite, got -1.0"),
+        (["--gamma-c", "inf"], "gamma_c must be positive and finite, got inf"),
+        (["--gamma-c", "0"], "gamma_c must be positive and finite, got 0.0"),
+    ], ids=["beta", "gamma_c", "gamma_c-inf", "gamma_c-zero"])
     def test_bad_rate_flag_named(self, tmp_path, capsys, flags, message):
         out = tmp_path / "st.csv"
         assert main(["steady", "--q", "1", "--omega", "0.1", *flags,
