@@ -126,9 +126,9 @@ def build_full_lindbladian(model: GeneralModel, spec: DiscretizationSpec,
     ntot = nd + nc
     dim = ntot * ntot
     if dim > _DIMENSION_CAP:
-        # the solve holds three real d x d matrices: the retained system, its
-        # bordered copy and LAPACK's copy
-        est_gb = 3 * 8 * (dim - nc ** 2) ** 2 / 1e9
+        # the solve holds two real d x d matrices: the retained system
+        # (bordered in place) and LAPACK's working copy
+        est_gb = 2 * 8 * (dim - nc ** 2) ** 2 / 1e9
         raise ValueError(
             f"superoperator dimension {dim} exceeds cap {_DIMENSION_CAP} "
             f"(estimated memory ~{est_gb:.1f} GB)")

@@ -29,7 +29,8 @@ factorization, of the generator bordered with the normalization, serves
 both the steady state and the certificate: a few fixed probe columns ride
 along with the normalization right-hand side, and a rank-one
 (Sherman-Morrison) update carries their solution over to the
-trace-bordered matrix.
+trace-bordered matrix.  Row 0 of the caller's generator is bordered in
+place and restored afterwards, so the solve makes no copy of it.
 """
 
 from __future__ import annotations
@@ -158,7 +159,9 @@ def _stationary_solve(gen: np.ndarray, norm_row: np.ndarray, null_row: np.ndarra
     population row, is redundant (the population rows sum to zero), so
     ``B_norm``, the generator with ``norm_row`` in row 0, is factorized
     once and solved against ``[e0 | P]`` for k fixed probe columns P;
-    column 0 is the steady state x.  The scale s is ``max|gen|``, or
+    column 0 is the steady state x.  ``B_norm`` is ``gen`` itself: row 0
+    is overwritten in place and restored before the call returns or
+    raises (a read-only ``gen`` is copied).  The scale s is ``max|gen|``, or
     ``max|norm_row|`` where the generator is exactly zero (one level).  The
     certificate bounds the trace-bordered matrix ``B_null`` (``null_row``
     scaled to s in row 0), which is nonsingular exactly when the kernel is
@@ -169,7 +172,10 @@ def _stationary_solve(gen: np.ndarray, norm_row: np.ndarray, null_row: np.ndarra
     sigma_min(B_null)``, must reach ``_KERNEL_SEP * eps * s`` (a
     non-finite estimate counts as 0).  The normalization must not cancel
     on the kernel, ``1 / (|norm_row| . |x|) >= 1e-8``, and the scaled
-    residual ``max|gen x| / (s max|x|)`` must not exceed 1e-8.
+    residual ``max|gen x| / (s max|x|)`` must not exceed 1e-8.  Known
+    limit: a normalization that vanishes on the kernel, at s near 1e14, can
+    read as "kernel dimension > 1"; the order stays, as x also blows up on
+    a true two-dimensional kernel, which a weight-first order would misname.
 
     Returns ``(x, separation)``: the normalized kernel vectors, shape
     ``(..., d)``, and the estimate in units of ``eps * s``.  Raises
@@ -191,18 +197,21 @@ def _stationary_solve(gen: np.ndarray, norm_row: np.ndarray, null_row: np.ndarra
     scale = np.where(scale > 0, scale, np.abs(norm_row).max())
 
     d = gen.shape[-1]
-    a = gen.copy()
-    a[..., 0, :] = norm_row
+    gen = gen if gen.flags.writeable else gen.copy()
+    row0 = gen[..., 0, :].copy()
     v = scale[..., None] * null_row - norm_row
     try:
-        s = np.linalg.solve(a, np.concatenate([np.eye(d, 1), _probes(d)], axis=1))
+        gen[..., 0, :] = norm_row  # now B_norm
+        s = np.linalg.solve(gen, np.concatenate([np.eye(d, 1), _probes(d)], axis=1))
     except np.linalg.LinAlgError:  # exactly singular somewhere in the stack
-        singular = np.linalg.slogdet(a)[0] == 0
-        a[..., 0, :] += v  # now B_null
-        _reject_degenerate(np.where(np.linalg.slogdet(a)[0] == 0, 0.0, np.inf), batched)
+        singular = np.linalg.slogdet(gen)[0] == 0
+        gen[..., 0, :] += v  # now B_null
+        _reject_degenerate(np.where(np.linalg.slogdet(gen)[0] == 0, 0.0, np.inf), batched)
         k, at = _first(singular, batched)
         raise SteadyStateError(f"no unique steady state{at}: "
                                "normalization vanishes on the kernel") from None
+    finally:
+        gen[..., 0, :] = row0
     x, z = s[..., 0], s[..., 1:]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vx = np.sum(v * x, axis=-1)[..., None, None]

@@ -120,6 +120,12 @@ def svd_gap(gen: np.ndarray) -> float:
     return s[-2] / (np.finfo(float).eps * np.abs(gen).max())
 
 
+def rate_matrix(n: int, seed: int = 5) -> np.ndarray:
+    """Real classical rate matrix: columns sum to zero, left null vector ones(n)."""
+    rates = np.random.default_rng(seed).uniform(0.1, 1.0, (n, n))
+    return rates - np.diag(rates.sum(axis=0))
+
+
 def two_lu_separation(gen: np.ndarray, null_row: np.ndarray) -> float:
     """Kernel separation from an LU of the trace-bordered matrix of its own.
 

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 from helpers import (cramer_system, discrete_dissipator_superop, quantum_jump_matrix,
-                     steady_state_cramer, svd_gap, two_lu_separation)
+                     rate_matrix, steady_state_cramer, svd_gap, two_lu_separation)
 
 from fanosolve import (FanoParams, SteadyStateError, absorption_rate,
                        build_effective_liouvillian, build_heff, lineshape_sweep,
@@ -187,6 +187,63 @@ class TestSteadyState:
             FanoParams(0.0, 1.0, 0.0, Gamma_cg=0.0, Gamma_ce=1.0)).matrix
         with pytest.raises(SteadyStateError, match="at sweep point 2: kernel dimension"):
             _stationary_solve(np.stack([good, good, dark, good]), trace_row(2), trace_row(2))
+
+
+def input_cases():
+    """(gen, norm_row, null_row, error match or None) for every exit of the solve."""
+    tr = trace_row(2)
+    good = build_effective_liouvillian(FanoParams(0.3, 1.2, 0.2, Gamma_e=0.1)).matrix
+    dark = build_effective_liouvillian(
+        FanoParams(0.0, 1.0, 0.0, Gamma_cg=0.0, Gamma_ce=1.0)).matrix
+    x, _ = _stationary_solve(good, tr, tr)
+    row = np.array([1.0, 0.3, 0.3, -1.0])
+    split = np.zeros((4, 4))  # two disconnected rate blocks: a 2-D kernel
+    split[:2, :2] = split[2:, 2:] = rate_matrix(2)
+    leaky = rate_matrix(4)
+    leaky[0] += 1.0  # row 0 no longer cancels: the residual check fails
+    nan = good.copy()
+    nan[1, 1] = np.nan
+    ones = np.ones(4)
+    return {
+        "real": (rate_matrix(4), ones, ones, None),
+        "complex": (good, tr, tr, None),
+        "stack": (np.stack([good, dark + 0.1 * good]), tr, tr, None),
+        "real-degenerate": (split, ones, ones, "kernel dimension"),
+        "complex-degenerate": (dark, tr, tr, "kernel dimension"),
+        "stack-degenerate": (np.stack([good, good, dark, good]), tr, tr,
+                             "at sweep point 2: kernel dimension"),
+        "norm-singular": (good, np.zeros(4), tr, "vanishes on the kernel$"),
+        "norm-weight": (good, row - (row @ x) * tr, tr, r"vanishes on the kernel \(weight"),
+        "residual": (leaky, ones, ones, "steady-state residual"),
+        "non-finite": (nan, tr, tr, "non-finite entries"),
+    }
+
+
+class TestInputUnchanged:
+    # row 0 of the generator is bordered in place: it must be restored bit
+    # for bit on every return and every raise
+
+    @pytest.mark.parametrize("case", ["real", "complex", "stack", "real-degenerate",
+                                      "complex-degenerate", "stack-degenerate",
+                                      "norm-singular", "norm-weight", "residual",
+                                      "non-finite"])
+    def test_generator_restored(self, case):
+        gen, norm_row, null_row, match = input_cases()[case]
+        before = gen.copy()
+        if match is None:
+            _stationary_solve(gen, norm_row, null_row)
+        else:
+            with pytest.raises(SteadyStateError, match=match):
+                _stationary_solve(gen, norm_row, null_row)
+        assert gen.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("case", ["real", "complex", "stack"])
+    def test_read_only_generator_solves(self, case):
+        gen, norm_row, null_row, _ = input_cases()[case]
+        x, sep = _stationary_solve(gen, norm_row, null_row)
+        gen.setflags(write=False)
+        x_ro, sep_ro = _stationary_solve(gen, norm_row, null_row)
+        assert np.array_equal(x_ro, x) and np.array_equal(sep_ro, sep)
 
 
 class TestTransport:

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from helpers import (kronecker_elimination, kronecker_generator, realify, retained_positions,
-                     spectator_model, splu_steady_state, svd_gap, two_lu_separation)
+from helpers import (kronecker_elimination, kronecker_generator, rate_matrix, realify,
+                     retained_positions, spectator_model, splu_steady_state, svd_gap,
+                     two_lu_separation)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fanosolve
 from fanosolve import (Continuum, DiscretizationSpec, FanoParams, GeneralModel,
                        SteadyStateError, build_full_lindbladian,
                        build_general, convergence_study, fano_model,
@@ -55,9 +61,10 @@ class TestSpec:
             build_full_lindbladian(fano_model(P_REF), spec, omega_L)
 
     def test_dimension_cap(self):
-        # (2 + 1500)**2 > 2e6: refused before anything is allocated
+        # (2 + 1500)**2 > 2e6: refused before anything is allocated; the
+        # estimate counts two real 6004 x 6004 matrices
         spec = DiscretizationSpec(bandwidth=10.0, levels_per_continuum=1500)
-        with pytest.raises(ValueError, match="GB"):
+        with pytest.raises(ValueError, match=r"~0\.6 GB"):
             build_full_lindbladian(fano_model(P_REF), spec)
 
 
@@ -227,8 +234,7 @@ class TestSteadyState:
     def test_real_solve_matches_complex_solve(self):
         # the same kernel, scale and certificate in real and complex arithmetic,
         # for the oracle's system and a classical rate matrix, either sign
-        rates = np.random.default_rng(5).uniform(0.1, 1.0, (6, 6))
-        rates -= np.diag(rates.sum(axis=0))
+        rates = rate_matrix(6)
         gen, norm_row, null_row, _ = _retained_system(small_fl(mk=21, w=20.0))
         for g, norm, null in ((gen, norm_row, null_row), (rates, np.ones(6), np.ones(6))):
             for sign in (1.0, -1.0):
@@ -269,6 +275,42 @@ class TestSteadyState:
         nc = [sum(oracle_steady_state(small_fl(p, mk=201, w=200.0))
                   .reduced.continuum_pops) for p in (base, noisy)]
         assert nc[1] == pytest.approx(nc[0], rel=0.05)
+
+
+# Peak memory of one certified solve of the 1608-unknown retained system (a
+# two-level model on one 401-level comb).  A freed copy of the generator
+# lifts the high-water mark to the generator plus one copy first, so the
+# growth across the call counts what the solve holds beyond that: LAPACK's
+# working copy fits under it; a second copy of the generator does not.
+_MEMORY_FLOOR = """
+import resource
+import sys
+from fanosolve import DiscretizationSpec, FanoParams, build_full_lindbladian, fano_model
+from fanosolve.oracle import _retained_system
+from fanosolve.superop import _stationary_solve
+
+p = FanoParams(epsilon=0.0, q=1.0, Omega=0.05, Gamma_e=0.1, Gamma_cg=2.0)
+fl = build_full_lindbladian(fano_model(p), DiscretizationSpec(400.0, 401))
+gen, norm_row, null_row, _ = _retained_system(fl)
+spare = gen.copy()
+del spare
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+_stationary_solve(gen, norm_row, null_row)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss in bytes or KiB
+print(gen.shape[0], (after - before) * unit / gen.nbytes)
+"""
+
+
+def test_solve_holds_one_copy_of_the_generator():
+    src = os.path.dirname(os.path.dirname(fanosolve.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", _MEMORY_FLOOR], capture_output=True,
+                         text=True, timeout=120, env=env, check=True)
+    d, growth = res.stdout.split()
+    assert int(d) == 1608
+    assert float(growth) <= 0.75
 
 
 class TestAbsorptionOracle:
