@@ -153,14 +153,17 @@ def cmd_general(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    if args.skiprows is None:  # the leading '#' lines and one non-numeric header line
+        with open(args.input, encoding="utf-8") as fh:
+            head = re.match(r"(#.*\n)*([^-+.\d\s].*\n)?", fh.read())
+        args.skiprows = head.group().count("\n")
     data = np.loadtxt(args.input, delimiter=",", comments="#", skiprows=args.skiprows)
     if data.ndim != 2 or data.shape[1] < 2:
         raise SystemExit("input must be a CSV of (epsilon, value) rows")
     eps, vals = data[:, 0], data[:, 1]
-    rng = np.random.default_rng(args.seed)
     n = eps.size
     held = max(0, min(args.held_out, n - 6))
-    idx = rng.permutation(n)
+    idx = np.random.default_rng(args.seed).permutation(n)
     fit_idx, held_idx = idx[: n - held], idx[n - held:]
     fit = fit_rational_quadratic(eps[fit_idx], vals[fit_idx])
     out: dict = {"coefficients": {"a0": fit.rq.a0, "a1": fit.rq.a1, "a2": fit.rq.a2,
@@ -192,7 +195,7 @@ def cmd_oracle(args) -> int:
                           "nc_rel_error", "r_oracle", "r_rel_error"], rows)
     print(f"monotone decrease: {study.decreasing}; "
           f"worst residual {study.residuals.max():.2e}, "
-          f"min eigenvalue {study.min_eigenvalues.min():.2e}, "
+          f"min eigenvalue >= {study.eigenvalue_floors.min():.2e}, "
           f"min kernel separation {study.kernel_separations.min():.2e}")
     return 0
 
@@ -257,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     de.add_argument("--out", default=None, help="JSON output path (default stdout)")
     de.add_argument("--held-out", type=int, default=0,
                     help="number of samples reserved for a held-out residual")
-    de.add_argument("--skiprows", type=int, default=0,
-                    help="header rows to skip in the input CSV")
+    de.add_argument("--skiprows", type=int, default=None,
+                    help="rows to skip (default: the '#' lines and a non-numeric header)")
     de.add_argument("--seed", type=int, default=0,
                     help="seed for the held-out split only; physics is untouched")
     de.set_defaults(func=cmd_decompose)

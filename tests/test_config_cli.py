@@ -1,4 +1,5 @@
 import json
+import pathlib
 import re
 import subprocess
 import sys
@@ -299,6 +300,16 @@ class TestDecomposeCommand:
         assert doc["held_out_residual"] < 1e-8
         assert doc["decomposition"]["q"] == pytest.approx(1.0, abs=1e-6)
 
+    def test_steady_csv_read_as_written(self, tmp_path):
+        # the units comment and the column header are skipped without --skiprows
+        golden = pathlib.Path(__file__).parent / "data" / "golden"
+        src = str(golden / "steady_continuum_pop_b.csv")
+        outs = [tmp_path / "default.json", tmp_path / "skip2.json"]
+        for out, extra in zip(outs, ([], ["--skiprows", "2"])):
+            assert main(["decompose", "--input", src, "--held-out", "20", "--seed", "3",
+                         "--out", str(out), *extra]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
 
 class TestOracleCommand:
     def test_convergence_table(self, tmp_path, capsys):
@@ -316,6 +327,7 @@ class TestOracleCommand:
         stdout = capsys.readouterr().out
         assert "monotone decrease" in stdout
         assert "worst residual" in stdout and "min kernel separation" in stdout
+        assert "min eigenvalue >= " in stdout
 
     def test_non_finite_omega_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "m.yaml"

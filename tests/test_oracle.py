@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -17,7 +18,8 @@ from fanosolve import (Continuum, DiscretizationSpec, FanoParams, GeneralModel,
                        general_steady_state, observable, oracle_steady_state,
                        steady_state, three_level_model, transport_rate,
                        two_band_demo_model, two_continua_model)
-from fanosolve.oracle import _retained_system
+from fanosolve import oracle
+from fanosolve.oracle import _eigenvalue_floor, _retained_system
 from fanosolve.superop import _stationary_solve, trace_row, vec
 
 # reference single-resonance parameters; Gamma_c = 2 keeps the level spacing
@@ -166,12 +168,84 @@ class TestDirectAssembly:
             sol = oracle_steady_state(fl)
         except SteadyStateError as exc:
             if "not positive" in str(exc):
-                # pairwise dephasing rates need not form a completely positive map
-                assert np.linalg.eigvalsh(splu_steady_state(fl))[0] < -1e-9
+                # pairwise dephasing rates need not form a completely positive map;
+                # the message carries the exact eigenvalue (3 digits)
+                ref = np.linalg.eigvalsh(splu_steady_state(fl))[0]
+                assert ref < -1e-9
+                reported = float(re.search(r"min eigenvalue (\S+)\)", str(exc)).group(1))
+                assert reported == pytest.approx(ref, rel=6e-3)
             else:  # a dark superposition of levels degenerate in the rotating frame
                 assert svd_gap(ref_schur) < 1e7
         else:
             assert np.abs(sol.rho - splu_steady_state(fl)).max() < 1e-12
+            # accepted only where eigvalsh accepts, with a floor under its value
+            exact = np.linalg.eigvalsh(sol.rho)[0]
+            assert exact >= -1e-9 and sol.eigenvalue_floor <= exact + 1e-15
+
+
+def spectrum_state(n, lam_min, rng):
+    """Trace-1 Hermitian ``U diag(lam) U^H``: lam_min, many zeros, a few positive weights."""
+    lam = np.zeros(n)
+    lam[0] = lam_min
+    k = max(1, n // 10)
+    lam[-k:] = rng.uniform(0.5, 1.5, k)
+    lam[-k:] *= (1.0 - lam_min) / lam[-k:].sum()
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    rho = (u * lam) @ u.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+class TestEigenvalueFloor:
+    """The shifted Cholesky certificate decides positivity exactly as ``eigvalsh``."""
+
+    @pytest.mark.parametrize("n", [5, 60, 300])
+    @pytest.mark.parametrize("lam_min", [1e-12, 0.0, -1e-11, -1e-10, -5e-10, -9e-10,
+                                         -1.1e-9, -1e-6])
+    def test_same_decision_as_eigvalsh(self, n, lam_min, monkeypatch):
+        rho = spectrum_state(n, lam_min, np.random.default_rng(n))
+        exact = float(np.linalg.eigvalsh(rho)[0])
+        ran = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(oracle.np.linalg, "eigvalsh",
+                            lambda a: ran.append(True) or eigvalsh(a))
+        try:
+            floor = _eigenvalue_floor(rho)
+        except SteadyStateError as exc:
+            assert exact < -1e-9
+            assert f"(min eigenvalue {exact:.2e})" in str(exc)
+        else:
+            assert exact >= -1e-9
+            assert floor <= exact + 10 * n * np.finfo(float).eps
+            if ran:
+                assert floor == exact
+        if lam_min != -1e-10:  # at minus the shift either path may be taken
+            assert bool(ran) == (lam_min < -1e-10)
+
+    @pytest.mark.parametrize("n, tried", [(1000, True), (2004, False)])
+    def test_large_n_goes_straight_to_eigvalsh(self, n, tried, monkeypatch):
+        # a zero-stride view: len() is n, no n x n matrix is built
+        rho = np.broadcast_to(np.zeros(1, dtype=complex), (n, n))
+        called = []
+
+        def not_positive_definite(a):
+            called.append(True)
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(oracle.np.linalg, "cholesky", not_positive_definite)
+        monkeypatch.setattr(oracle.np.linalg, "eigvalsh", lambda a: np.array([-3e-10]))
+        assert _eigenvalue_floor(rho) == -3e-10
+        assert bool(called) == tried
+
+    def test_fano_rung_needs_no_eigvalsh(self, monkeypatch):
+        def boom(a):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(oracle.np.linalg, "eigvalsh", boom)
+        fl = build_full_lindbladian(fano_model(P_REF), DiscretizationSpec(150.0, 151),
+                                    P_REF.epsilon)
+        sol = oracle_steady_state(fl)
+        assert -2e-10 < sol.eigenvalue_floor < 0
+        assert sol.residual < 1e-10
 
 
 class TestSteadyState:
@@ -186,7 +260,7 @@ class TestSteadyState:
         fl = small_fl()
         sol = oracle_steady_state(fl)
         assert sol.residual < 1e-10
-        assert sol.min_eigenvalue > -1e-9
+        assert sol.eigenvalue_floor > -1e-9
         assert sol.kernel_separation > 1e6
         assert abs(np.real(np.trace(sol.rho)) - 1.0) < 1e-12
 
@@ -370,7 +444,7 @@ class TestConvergence:
         for k, spec in enumerate(ladder):
             sol = oracle_steady_state(build_full_lindbladian(model, spec, P_REF.epsilon))
             assert study.residuals[k] == pytest.approx(sol.residual, rel=1e-6)
-            assert study.min_eigenvalues[k] == pytest.approx(sol.min_eigenvalue, abs=1e-14)
+            assert study.eigenvalue_floors[k] == pytest.approx(sol.eigenvalue_floor, abs=1e-14)
             assert study.kernel_separations[k] == pytest.approx(sol.kernel_separation, rel=1e-6)
         assert study.residuals.shape == study.kernel_separations.shape == (2,)
 
