@@ -20,7 +20,8 @@ constraint.  The generator preserves Hermiticity, so that retained system
 is real in the real and imaginary parts of the lower-triangle elements:
 it is assembled directly from the Hamiltonian and the rates as a real
 matrix of the same size and solved with one real LU, a quarter of the
-flops and half the bytes of the complex system.  One Cholesky factorization
+flops and half the bytes of the complex system, stored column-major so
+that LAPACK's working copy is no transpose.  One Cholesky factorization
 of ``rho + tau I`` certifies positivity.  The discrete levels are described
 as in :mod:`fanosolve.general`, and no superoperator is ever formed.
 """
@@ -33,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .general import build_general, general_steady_state, observable
 from .models import DensityMatrixP, GeneralModel, _discrete_lindblad, validate_model
@@ -218,9 +218,10 @@ def _retained_system(fl: FullLindbladian):
     each lower element, ``rho[i, a]`` with ``i > a`` in ``np.tril_indices``
     order and then ``rho[c, a]`` ordered by (a, c).  The rows are the real
     and imaginary parts of the equations of the same elements, so row 0 is
-    still the gg population.  The few rows of discrete elements are
-    assembled as complex equations and mapped; the rows of ``rho[c, a]`` are
-    written straight into complex views of the real matrix.  Returns
+    still the gg population.  ``gen`` is column-major, LAPACK's order, so
+    its working copy is no transpose.  The few rows and columns of discrete
+    elements are assembled row-wise as complex equations and copied in; the
+    rest is written into complex views of ``gen``'s columns.  Returns
     ``(gen, norm_row, null_row, dq)``: the float64 ``d x d`` generator, the
     real eliminated trace row, the retained trace (1 on the populations) and
     ``dq``.
@@ -270,30 +271,35 @@ def _retained_system(fl: FullLindbladian):
     x[dr, dr] += relax[:, None, :] * tx
     y[dr, dr] += relax[:, None, :] * ty
 
-    gen = np.empty((d, d))
-    realify(coef[dr, dr], x[dr, dr], y[dr, dr], gen[:nd], False)
+    gen = np.empty((d, d), order="F")
+    strip = np.empty((lead, d))  # the rows of the discrete elements
+    realify(coef[dr, dr], x[dr, dr], y[dr, dr], strip[:nd], False)
     lower = coef[la, li], x[la, li], y[la, li]
-    realify(*lower, gen[nd:lead:2], False)
-    realify(*lower, gen[nd + 1:lead:2], True)
+    realify(*lower, strip[nd::2], False)
+    realify(*lower, strip[nd + 1::2], True)
+    gen[:lead] = strip
 
     # rows of rho[c, a], [a, c]: rho[b, a] enters through the couplings ...
-    re, im = (gen[lead + k::2].reshape(nd, nc, d) for k in (0, 1))
+    strip = np.empty((d - lead, lead))
     coef_c = np.zeros((nd, nc, nd, nd), dtype=complex)  # [a, c, k, l]
     coef_c[dr, :, :, dr] = 1j * hcd.conj()
-    realify(coef_c, None, None, re, False)
-    realify(coef_c, None, None, im, True)
-    # ... rho[b, c'] through the fill-in from eliminating rho[c, c'], dense ...
-    re_c, im_c = (v[..., lead:].view(complex).reshape(nd, nc, nd, nc) for v in (re, im))
-    for a in range(nd):  # [c, b, c']
-        np.multiply((inv * hdc[a])[:, None, :], -hcd.conj()[:, :, None], out=re_c[a])
-        np.multiply(re_c[a], -1j, out=im_c[a])
+    for k in (0, 1):
+        realify(coef_c, None, None, strip[k::2].reshape(nd, nc, lead), k == 1)
+    gen[lead:, :lead] = strip
+    # ... rho[b, c'] through the fill-in from eliminating rho[c, c'], dense: the
+    # columns of u and w (rho[c', b] = u + i w) pair the rows of rho[c, a] as P, -i P
+    u, w = (gen.T[lead + k::2, lead:].view(complex).reshape(nd, nc, nd, nc) for k in (0, 1))
+    for s in range(0, nc, 64):  # [b, c', a, c], a few c' at a time
+        t = inv.T[s:s + 64, None, :] * hdc.T[s:s + 64, :, None]
+        np.multiply(t, -hcd.conj().T[:, None, None, :], out=u[:, s:s + 64])
+        np.multiply(u[:, s:s + 64], -1j, out=w[:, s:s + 64])
     # ... and rho[c, b] diagonally: decay, comb, couplings and fill-in
     pairs = (hdc.T[:, :, None] * hcd[:, None, :]).reshape(nc, nd * nd)  # [c, (a, b)]
     diag = (inv @ pairs).reshape(nc, nd, nd) - 1j * hdd
     diag[:, dr, dr] += 1j * comb.conj()[:, None] - fl.decay[nd:, :nd]
-    diag = diag.conj()  # a coefficient x of rho[c, b] enters as conj(x)
-    re_c[:, mr, :, mr] += diag
-    im_c[:, mr, :, mr] += 1j * diag
+    diag = diag.transpose(0, 2, 1)  # [c, b, a]
+    u[:, mr, :, mr] += diag
+    w[:, mr, :, mr] += 1j * diag
 
     norm_row = np.empty((2, d))
     realify(np.eye(nd), tx, ty, norm_row[0], False)
@@ -303,6 +309,21 @@ def _retained_system(fl: FullLindbladian):
     null_row = np.zeros(d)
     null_row[:nd] = 1.0
     return gen, norm_row[0], null_row, dq
+
+
+def _generator_action(fl: FullLindbladian, r: np.ndarray) -> np.ndarray:
+    """``L(r)``: off its diagonal, H is nonzero only in its first nd rows and columns."""
+    h, nd = fl.hamiltonian, fl.n_discrete
+    hd, hcd = np.diag(h), h[nd:, :nd]
+    hdx = h[:nd] - np.eye(nd, len(hd)) * hd  # the discrete rows off the diagonal
+    rh, hr = r * hd, hd.conj()[:, None] * r  # r H^T and conj(H) r
+    rh[:, :nd] += r @ hdx.T
+    rh[:, nd:] += r[:, :nd] @ hcd.T
+    hr[:nd] += hdx.conj() @ r
+    hr[nd:] += hcd.conj() @ r[:nd]
+    lr = -1j * (rh - hr) - fl.decay * r
+    lr[np.diag_indices(nd)] += fl.gains @ np.diag(r)
+    return lr
 
 
 def _eigenvalue_floor(rho: np.ndarray) -> float:
@@ -358,15 +379,12 @@ def oracle_steady_state(fl: FullLindbladian) -> OracleSolution:
     r[nd:, nd:] = 1j * (r[nd:, :nd] @ hcd.T - hcd.conj() @ r[:nd, nd:]) / dq
 
     # the shared solve checked the Schur residual; this also covers rho[c, c']
-    hs = sp.csr_array(h)
-    lr = -1j * ((hs @ r.T).T - hs.conj() @ r) - fl.decay * r
-    lr[np.diag_indices(nd)] += fl.gains @ np.diag(r)
+    lr = _generator_action(fl, r)
     # scale: the largest generator entry (diagonal, Hamiltonian, jump gains)
     hd = np.diag(h)
     entries = -1j * (hd[None, :] - hd.conj()[:, None]) - fl.decay
     entries[np.diag_indices(nd)] += np.diag(fl.gains)
-    off_gains = fl.gains.copy()
-    off_gains[np.diag_indices(nd)] = 0.0
+    off_gains = fl.gains - np.eye(nd, n) * np.diag(fl.gains)[:, None]
     scale = max(np.abs(entries).max(), np.abs(h - np.diag(hd)).max(),
                 off_gains.max(), 1.0)
     residual = float(np.max(np.abs(lr)) / scale)

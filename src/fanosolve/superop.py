@@ -161,21 +161,22 @@ def _stationary_solve(gen: np.ndarray, norm_row: np.ndarray, null_row: np.ndarra
     once and solved against ``[e0 | P]`` for k fixed probe columns P;
     column 0 is the steady state x.  ``B_norm`` is ``gen`` itself: row 0
     is overwritten in place and restored before the call returns or
-    raises (a read-only ``gen`` is copied).  The scale s is ``max|gen|``, or
-    ``max|norm_row|`` where the generator is exactly zero (one level).  The
-    certificate bounds the trace-bordered matrix ``B_null`` (``null_row``
-    scaled to s in row 0), which is nonsingular exactly when the kernel is
-    one-dimensional.  As ``B_null = B_norm + e0 v^T`` with ``v = s
-    null_row - norm_row``, Sherman-Morrison gives ``B_null^-1 P = Z - x
-    (v.Z) / (1 + v.x)`` from ``Z = B_norm^-1 P``, and ``sqrt(k) /
-    |B_null^-1 P|_F``, an estimate of ``1 / |B_null^-1|_F <=
-    sigma_min(B_null)``, must reach ``_KERNEL_SEP * eps * s`` (a
-    non-finite estimate counts as 0).  The normalization must not cancel
-    on the kernel, ``1 / (|norm_row| . |x|) >= 1e-8``, and the scaled
-    residual ``max|gen x| / (s max|x|)`` must not exceed 1e-8.  Known
-    limit: a normalization that vanishes on the kernel, at s near 1e14, can
-    read as "kernel dimension > 1"; the order stays, as x also blows up on
-    a true two-dimensional kernel, which a weight-first order would misname.
+    raises (a read-only ``gen`` is copied in its own order; LAPACK's working
+    copy of a column-major ``gen`` is a straight copy, not a transpose).  The
+    scale s is ``max|gen|``, or ``max|norm_row|`` where the generator is
+    exactly zero (one level).  The certificate bounds the trace-bordered
+    matrix ``B_null`` (``null_row`` scaled to s in row 0), which is
+    nonsingular exactly when the kernel is one-dimensional.  As ``B_null =
+    B_norm + e0 v^T`` with ``v = s null_row - norm_row``, Sherman-Morrison
+    gives ``B_null^-1 P = Z - x (v.Z) / (1 + v.x)`` from ``Z = B_norm^-1 P``,
+    and ``sqrt(k) / |B_null^-1 P|_F``, an estimate of ``1 / |B_null^-1|_F <=
+    sigma_min(B_null)``, must reach ``_KERNEL_SEP * eps * s`` (a non-finite
+    estimate counts as 0).  The normalization must not cancel on the kernel,
+    ``1 / (|norm_row| . |x|) >= 1e-8``, and the scaled residual
+    ``max|gen x| / (s max|x|)`` must not exceed 1e-8.  Known limit: a
+    normalization that vanishes on the kernel, at s near 1e14, can read as
+    "kernel dimension > 1"; the order stays, as x also blows up on a true
+    two-dimensional kernel, which a weight-first order would misname.
 
     Returns ``(x, separation)``: the normalized kernel vectors, shape
     ``(..., d)``, and the estimate in units of ``eps * s``.  Raises
@@ -197,7 +198,7 @@ def _stationary_solve(gen: np.ndarray, norm_row: np.ndarray, null_row: np.ndarra
     scale = np.where(scale > 0, scale, np.abs(norm_row).max())
 
     d = gen.shape[-1]
-    gen = gen if gen.flags.writeable else gen.copy()
+    gen = gen if gen.flags.writeable else gen.copy(order="K")
     row0 = gen[..., 0, :].copy()
     v = scale[..., None] * null_row - norm_row
     try:

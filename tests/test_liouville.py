@@ -207,6 +207,7 @@ def input_cases():
     return {
         "real": (rate_matrix(4), ones, ones, None),
         "complex": (good, tr, tr, None),
+        "fortran": (np.asfortranarray(rate_matrix(4)), ones, ones, None),
         "stack": (np.stack([good, dark + 0.1 * good]), tr, tr, None),
         "real-degenerate": (split, ones, ones, "kernel dimension"),
         "complex-degenerate": (dark, tr, tr, "kernel dimension"),
@@ -223,7 +224,7 @@ class TestInputUnchanged:
     # row 0 of the generator is bordered in place: it must be restored bit
     # for bit on every return and every raise
 
-    @pytest.mark.parametrize("case", ["real", "complex", "stack", "real-degenerate",
+    @pytest.mark.parametrize("case", ["real", "complex", "fortran", "stack", "real-degenerate",
                                       "complex-degenerate", "stack-degenerate",
                                       "norm-singular", "norm-weight", "residual",
                                       "non-finite"])
@@ -237,13 +238,23 @@ class TestInputUnchanged:
                 _stationary_solve(gen, norm_row, null_row)
         assert gen.tobytes() == before.tobytes()
 
-    @pytest.mark.parametrize("case", ["real", "complex", "stack"])
+    @pytest.mark.parametrize("case", ["real", "complex", "fortran", "stack"])
     def test_read_only_generator_solves(self, case):
         gen, norm_row, null_row, _ = input_cases()[case]
         x, sep = _stationary_solve(gen, norm_row, null_row)
         gen.setflags(write=False)
         x_ro, sep_ro = _stationary_solve(gen, norm_row, null_row)
         assert np.array_equal(x_ro, x) and np.array_equal(sep_ro, sep)
+
+    def test_read_only_copy_keeps_storage_order(self, monkeypatch):
+        gen, norm_row, null_row, _ = input_cases()["fortran"]
+        gen.setflags(write=False)
+        orders = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: orders.append(a.flags.f_contiguous) or solve(a, b))
+        _stationary_solve(gen, norm_row, null_row)
+        assert orders == [True]
 
 
 class TestTransport:

@@ -19,7 +19,7 @@ from fanosolve import (Continuum, DiscretizationSpec, FanoParams, GeneralModel,
                        steady_state, three_level_model, transport_rate,
                        two_band_demo_model, two_continua_model)
 from fanosolve import oracle
-from fanosolve.oracle import _eigenvalue_floor, _retained_system
+from fanosolve.oracle import _eigenvalue_floor, _generator_action, _retained_system
 from fanosolve.superop import _stationary_solve, trace_row, vec
 
 # reference single-resonance parameters; Gamma_c = 2 keeps the level spacing
@@ -161,6 +161,7 @@ class TestDirectAssembly:
         assert np.abs(paired - ref_schur.conj()).max() <= 1e-15 * np.abs(ref_schur).max()
         ref_gen, ref_norm, ref_null = realify(ref_schur, ref_t, ref_null, fl)
         assert gen.dtype == norm_row.dtype == np.float64
+        assert gen.flags.f_contiguous  # LAPACK's order: its working copy is no transpose
         assert np.abs(gen - ref_gen).max() <= 1e-13 * np.abs(ref_gen).max()
         assert np.abs(norm_row - ref_norm).max() <= 1e-13 * np.abs(ref_norm).max()
         assert np.array_equal(null_row, ref_null)
@@ -181,6 +182,41 @@ class TestDirectAssembly:
             # accepted only where eigvalsh accepts, with a floor under its value
             exact = np.linalg.eigvalsh(sol.rho)[0]
             assert exact >= -1e-9 and sol.eigenvalue_floor <= exact + 1e-15
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(fl=discretized_models())
+    def test_generator_action_matches_kronecker(self, fl):
+        n = fl.n_total
+        rng = np.random.default_rng(n)
+        r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        L = kronecker_generator(fl)
+        ref = (L @ vec(r)).reshape(n, n).T
+        scale = np.abs(L.data).max() * np.abs(r).max()
+        assert np.abs(_generator_action(fl, r) - ref).max() <= 1e-14 * scale
+
+
+def test_storage_order_leaves_solve_unchanged():
+    gen, norm_row, null_row, _ = _retained_system(small_fl())
+    x, sep = _stationary_solve(gen, norm_row, null_row)
+    x_c, sep_c = _stationary_solve(np.ascontiguousarray(gen), norm_row, null_row)
+    assert x.tobytes() == x_c.tobytes() and sep == sep_c
+
+
+def test_perturbed_continuum_coherence_fails_residual(monkeypatch):
+    # perturbed after the shared solve has checked the Schur residual: the
+    # full-generator residual must catch the wrong rho[c, a]
+    fl = small_fl()
+    lead = fl.n_discrete ** 2  # first real coordinate of rho[c, a]
+    solve = oracle._stationary_solve
+
+    def perturbed(*args):
+        x, sep = solve(*args)
+        x[lead] += 1e-6
+        return x, sep
+
+    monkeypatch.setattr(oracle, "_stationary_solve", perturbed)
+    with pytest.raises(SteadyStateError, match="steady-state residual"):
+        oracle_steady_state(fl)
 
 
 def spectrum_state(n, lam_min, rng):
@@ -385,6 +421,28 @@ def test_solve_holds_one_copy_of_the_generator():
     d, growth = res.stdout.split()
     assert int(d) == 1608
     assert float(growth) <= 0.75
+
+
+_NO_SCIPY = """
+import os
+import sys
+from fanosolve.cli import main
+
+assert main(["oracle", "--config", sys.argv[1], "--out", os.devnull]) == 0
+assert main(["steady", "--q", "1", "--omega", "0.1", "--eps", "-3:3:41",
+             "--out", os.devnull, "--summary", os.devnull]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_runs_without_scipy():
+    src = os.path.dirname(os.path.dirname(fanosolve.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cfg = os.path.join(os.path.dirname(__file__), "data", "golden", "two_band.yaml")
+    res = subprocess.run([sys.executable, "-c", _NO_SCIPY, cfg], capture_output=True,
+                         text=True, timeout=120, env=env, check=True)
+    assert res.stdout.splitlines()[-1] == "[]"
 
 
 class TestAbsorptionOracle:
